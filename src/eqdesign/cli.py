@@ -50,10 +50,9 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    m = 1 if args.family == "path" else args.m
-    gamma = design.economy(m)
+    gamma = design.economy(args.m)
     if args.format == "json":
-        text = poly.dumps_design(design, family=args.family, m=m)
+        text = poly.dumps_design(design, family=args.family, m=args.m)
     else:
         text = poly.to_dot(design, name=f"{args.family}_{args.d}_{args.m}")
     if args.out:
@@ -80,17 +79,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_economy(args) -> int:
-    lines = ["family,d,m,size,predicted_size,economy"]
     d = args.d
-    m_max = min(args.m_max if args.m_max else 1 << (d - 1), 1 << (d - 1))
+    try:
+        families.check_domain("G", d, 1)  # G(d, 1) exists for every valid d
+        if args.m_max is not None and args.m_max < 1:
+            raise ValueError(f"--m-max must be >= 1, got {args.m_max}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    lines = ["family,d,m,size,predicted_size,economy"]
+    m_max = min(args.m_max or 1 << (d - 1), 1 << (d - 1))
     for m in range(1, m_max + 1):
         for family in ("G", "H", "M"):
-            if family == "H" and m < 2:
-                continue
-            if family == "M" and d < 2 * families.q_min(m):
-                continue
+            try:
+                predicted = families.predicted_size(family, d, m)
+            except ValueError:
+                continue  # outside the family's domain: no row
             design = families.generate(family, d, m)
-            predicted = families.predicted_size(family, d, m)
             gamma = Fraction(m * d, len(design))
             lines.append(f"{family},{d},{m},{len(design)},{predicted},{gamma}")
     text = "\n".join(lines) + "\n"

@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from .poly import DesignPoly, check_monomial, mono_str
+from .poly import DesignPoly, mono_str
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,8 @@ def randomize(design: DesignPoly, rng: np.random.Generator):
 
 @dataclass(frozen=True)
 class ReplicatedDesign:
-    """One randomized, embedded replicate: points[k] corresponds to vertices[k]."""
+    """One embedded replicate: points[k] corresponds to vertices[k]."""
 
-    reflection: int
-    permutation: tuple
     base_point: tuple
     delta: float
     points: tuple  # of coordinate tuples in [0,1]^d
@@ -103,8 +101,7 @@ class ReplicatedDesign:
 _EPS = 1e-9
 
 
-def embed(od: OrderedDesign, base: Sequence[float], delta: float,
-          reflection: int = 0, permutation: Optional[tuple] = None) -> ReplicatedDesign:
+def embed(od: OrderedDesign, base: Sequence[float], delta: float) -> ReplicatedDesign:
     """Map vertices to points base + delta * bits, keeping the vertex order."""
     d = od.dim
     if not 0 < delta <= 1:
@@ -114,15 +111,11 @@ def embed(od: OrderedDesign, base: Sequence[float], delta: float,
     for x in base:
         if x < -_EPS or x > 1 - delta + _EPS:
             raise ValueError(f"base coordinate {x} outside [0, 1-delta]")
-    check_monomial(reflection, d)
-    if permutation is None:
-        permutation = tuple(range(1, d + 1))
     points = tuple(
         tuple(min(1.0, base[i] + delta * ((v >> i) & 1)) for i in range(d))
         for v in od.vertices
     )
-    return ReplicatedDesign(reflection=reflection, permutation=tuple(permutation),
-                            base_point=tuple(base), delta=delta, points=points)
+    return ReplicatedDesign(base_point=tuple(base), delta=delta, points=points)
 
 
 def sample_base(d: int, delta: float, levels: int, rng: np.random.Generator) -> tuple:

@@ -9,7 +9,9 @@ All three are recursive compositions over the hypercube dimension:
   H block over disjoint coordinate ranges, all sharing the origin vertex.
 
 Closed-form size predictions are provided separately from the constructions
-so tests can confront the two.
+so tests can confront the two.  The family table at the end maps each name to
+its builder and size formula, and check_domain states every family's (d, m)
+domain once.
 """
 from __future__ import annotations
 
@@ -17,11 +19,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Callable, Tuple
 
-from .poly import DesignPoly, mono_from_vars
-
-FAMILIES = ("G", "H", "M", "path")
+from .poly import MAX_DIM, DesignPoly, mono_from_vars
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,16 @@ class SizePrediction:
 
 
 def _check_dm(d: int, m: int) -> None:
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    """Q_d exists in the package (1 <= d <= MAX_DIM) and has room for m edges per direction."""
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"d must be in [1, {MAX_DIM}], got {d}")
     if not 1 <= m <= 1 << (d - 1):
-        raise ValueError(f"multiplicity must satisfy 1 <= m <= 2^(d-1) = {1 << (d - 1)}, got {m}")
+        raise ValueError(f"m must be in [1, 2^(d-1)] = [1, {1 << (d - 1)}], got {m}")
 
 
 def gen_path(d: int) -> DesignPoly:
     """Staircase OAT path: 1, X1, X1X2, ..., X1...Xd.  (d,1)-equitable, size d+1."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    check_domain("path", d, 1)
     return DesignPoly.of(d, ((1 << k) - 1 for k in range(d + 1)))
 
 
@@ -73,7 +73,7 @@ def _split(lo: DesignPoly, hi: DesignPoly, d: int) -> DesignPoly:
 @lru_cache(maxsize=None)
 def gen_G(d: int, m: int) -> DesignPoly:
     """The basic recursive family: (d,m)-edge equitable for every 1 <= m <= 2^(d-1)."""
-    _check_dm(d, m)
+    check_domain("G", d, m)
     if m == 1:
         return DesignPoly.of(d, [0] + [1 << i for i in range(d)])
     if m % 2 == 0:
@@ -83,7 +83,7 @@ def gen_G(d: int, m: int) -> DesignPoly:
 
 def predicted_size_G(d: int, m: int) -> int:
     """|G| = m(d - kappa) + 2^(kappa+1) - m with kappa = floor(log2 m)."""
-    _check_dm(d, m)
+    check_domain("G", d, m)
     kappa = m.bit_length() - 1
     return m * (d - kappa) + (1 << (kappa + 1)) - m
 
@@ -114,9 +114,7 @@ def _gen_H3(d: int) -> DesignPoly:
 @lru_cache(maxsize=None)
 def gen_H(d: int, m: int) -> DesignPoly:
     """The improved-initialisation family, defined for 2 <= m <= 2^(d-1)."""
-    if m < 2:
-        raise ValueError(f"H family starts at m=2, got m={m}")
-    _check_dm(d, m)
+    check_domain("H", d, m)
     if m == 2:
         return _gen_H2(d)
     if m == 3:
@@ -147,9 +145,7 @@ def alpha_h(m: int) -> Fraction:
 
 def predicted_size_H(d: int, m: int) -> SizePrediction:
     """Closed form |H| = c(m) + alpha(m) d; c depends on the parity of d - kappa."""
-    if m < 2:
-        raise ValueError(f"H family starts at m=2, got m={m}")
-    _check_dm(d, m)
+    check_domain("H", d, m)
     lc = leaf_counts(m)
     kappa, i = lc.kappa, lc.i_offset
     eps = 1 if (d - kappa) % 2 == 0 else -1
@@ -174,31 +170,34 @@ def q_min(m: int) -> int:
 
 
 def _m_decomposition(d: int, m: int) -> Tuple[int, int, int]:
-    """d = (c-1) q + t with q = q_min(m) and t in [q, 2q-1]; returns (q, c-1, t)."""
+    """d = (c-1) q + t with q = q_min(m) and t in [q, 2q-1]; returns (q, c-1, t).
+
+    Needs d >= 2q, which check_domain("M", d, m) guarantees.
+    """
     q = q_min(m)
-    if d < 2 * q:
-        raise ValueError(f"M family requires d >= 2*q_min(m) = {2 * q}, got d={d}")
     blocks, rem = divmod(d, q)
     return q, blocks - 1, q + rem
 
 
 def gen_M(d: int, m: int) -> DesignPoly:
     """Factored family: shifted H blocks over disjoint coordinate ranges sharing the origin."""
-    if m < 1:
-        raise ValueError(f"multiplicity must be >= 1, got {m}")
+    check_domain("M", d, m)
     q, copies, t = _m_decomposition(d, m)
     if m == 1:
         block, tail = gen_path(q), gen_path(t)
     else:
         block, tail = gen_H(q, m), gen_H(t, m)
+    # all blocks share the origin, which the design holds once
+    block, tail = (DesignPoly(b.dim, b.terms - {0}) for b in (block, tail))
     design = DesignPoly.of(d, [0])
     for j in range(copies):
-        design = design.merge_shared_origin(block.shift(j * q, d))
-    return design.merge_shared_origin(tail.shift(copies * q, d))
+        design = design.union_disjoint(block.shift(j * q, d))
+    return design.union_disjoint(tail.shift(copies * q, d))
 
 
 def predicted_size_M(d: int, m: int) -> int:
     """Shared-origin size accounting: 1 + (c-1)(|block|-1) + (|tail|-1)."""
+    check_domain("M", d, m)
     q, copies, t = _m_decomposition(d, m)
     if m == 1:
         block_size, tail_size = q + 1, t + 1
@@ -206,10 +205,6 @@ def predicted_size_M(d: int, m: int) -> int:
         block_size = predicted_size_H(q, m).value
         tail_size = predicted_size_H(t, m).value
     return 1 + copies * (block_size - 1) + (tail_size - 1)
-
-
-def economy(design: DesignPoly, m: Optional[int] = None) -> Fraction:
-    return design.economy(m)
 
 
 def economy_limits(m: int):
@@ -251,28 +246,47 @@ def min_size_oracle(d: int, m: int) -> Tuple[int, DesignPoly]:
     raise AssertionError("unreachable: the full hypercube is always equitable")
 
 
+@dataclass(frozen=True)
+class Family:
+    """How to build a family's (d, m) design and predict its size without building it."""
+
+    build: Callable[[int, int], DesignPoly]
+    size: Callable[[int, int], int]
+
+
+_REGISTRY = {
+    "G": Family(gen_G, predicted_size_G),
+    "H": Family(gen_H, lambda d, m: predicted_size_H(d, m).value),
+    "M": Family(gen_M, predicted_size_M),
+    "path": Family(lambda d, m: gen_path(d), lambda d, m: d + 1),
+}
+FAMILIES = tuple(_REGISTRY)
+
+
+def check_domain(family: str, d: int, m: int) -> None:
+    """Raise ValueError unless the named family defines a (d, m)-edge equitable design.
+
+    This is the one statement of every family's domain; the builders, the
+    size predictions, screen config validation and the CLI all defer to it.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    _check_dm(d, m)
+    if family == "H" and m < 2:
+        raise ValueError(f"family 'H' starts at m=2, got m={m}")
+    if family == "path" and m != 1:
+        raise ValueError(f"family 'path' is only defined for m=1, got m={m}")
+    if family == "M" and d < 2 * q_min(m):
+        raise ValueError(f"family 'M' requires d >= 2*q_min(m) = {2 * q_min(m)}, got d={d}")
+
+
 def generate(family: str, d: int, m: int) -> DesignPoly:
-    """Dispatch on family name; 'path' ignores m (always 1)."""
-    if family == "G":
-        return gen_G(d, m)
-    if family == "H":
-        return gen_H(d, m)
-    if family == "M":
-        return gen_M(d, m)
-    if family == "path":
-        if m != 1:
-            raise ValueError("the path family is only defined for m=1")
-        return gen_path(d)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    """The (d, m) design of the named family."""
+    check_domain(family, d, m)
+    return _REGISTRY[family].build(d, m)
 
 
 def predicted_size(family: str, d: int, m: int) -> int:
-    if family == "G":
-        return predicted_size_G(d, m)
-    if family == "H":
-        return predicted_size_H(d, m).value
-    if family == "M":
-        return predicted_size_M(d, m)
-    if family == "path":
-        return d + 1
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    """Closed-form vertex count of generate(family, d, m), without building it."""
+    check_domain(family, d, m)
+    return _REGISTRY[family].size(d, m)

@@ -27,7 +27,7 @@ class DimensionMismatch(ValueError):
 
 
 def check_dim(dim: int) -> None:
-    if not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
         raise ValueError(f"ambient dimension must be in [1, {MAX_DIM}], got {dim!r}")
 
 
@@ -143,15 +143,6 @@ class DesignPoly:
             )
         return DesignPoly(self.dim, self.terms | other.terms)
 
-    def merge_shared_origin(self, other: "DesignPoly") -> "DesignPoly":
-        """Union permitting overlap only on the constant monomial (shared origin vertex)."""
-        self._require_same_dim(other)
-        overlap = self.terms & other.terms
-        if overlap - {0}:
-            bad = next(iter(overlap - {0}))
-            raise ValueError(f"blocks overlap beyond the origin, e.g. on {mono_name(bad)}")
-        return DesignPoly(self.dim, self.terms | other.terms)
-
     # -- graph quantities --------------------------------------------------
 
     def edge_profile(self) -> tuple:
@@ -243,11 +234,15 @@ def design_from_dict(obj: dict) -> DesignPoly:
         words = obj["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed design object: missing {exc}") from exc
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise ValueError("malformed design object: 'terms' must be a list of binary words")
     terms = []
     for w in words:
         if len(w) != d:
             raise ValueError(f"term {w!r} has length {len(w)}, expected {d}")
-        terms.append(mono_parse(w) if "1" in w else 0)
+        terms.append(mono_parse(w))
+    if len(set(terms)) != len(terms):
+        raise ValueError("malformed design object: duplicate terms")
     return DesignPoly.of(d, terms)
 
 

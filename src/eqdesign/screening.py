@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field, asdict
 from typing import Callable, List, Optional
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .effects import (FactorStats, build_incidence, elementary_effects, embed,
                       order_vertices, pooled_stats, randomize, sample_base)
-from .families import generate
+from .families import check_domain, generate
 from .poly import mono_str
 
 # coordinates given the saturating rational transform instead of the linear one
@@ -28,11 +29,14 @@ REFERENCE_CLASSES = tuple(
 )
 
 
-def w_transform(x: float, index: int) -> float:
-    """Input warping: w = 2x-1, except a rational saturating branch on coords 3, 5, 7."""
-    if index in RATIONAL_COORDS:
-        return 2.2 * x / (x + 0.1) - 1.0
-    return 2.0 * x - 1.0
+def w_transform(x: np.ndarray) -> np.ndarray:
+    """Input warping of points x[..., 20]: w = 2x-1, except a rational saturating
+    branch on coords 3, 5, 7."""
+    w = 2.0 * x - 1.0
+    for i in RATIONAL_COORDS:
+        xi = x[..., i - 1]
+        w[..., i - 1] = 2.2 * xi / (xi + 0.1) - 1.0
+    return w
 
 
 @dataclass(frozen=True)
@@ -54,10 +58,7 @@ class BenchmarkFunction:
             raise ValueError(f"expected 20 coordinates, got {pts.shape[-1]}")
         if pts.min() < -1e-9 or pts.max() > 1 + 1e-9:
             raise ValueError("input outside [0,1]^20")
-        w = 2.0 * pts - 1.0
-        for i in RATIONAL_COORDS:
-            xi = pts[:, i - 1]
-            w[:, i - 1] = 2.2 * xi / (xi + 0.1) - 1.0
+        w = w_transform(pts)
         val = self.beta0 + w @ self.beta1
         val += np.einsum("ni,ij,nj->n", w, self.beta2, w)
         for (i, j, l) in itertools.combinations(range(5), 3):
@@ -101,24 +102,30 @@ class ScreenConfig:
 
     def validate(self) -> None:
         problems = []
-        if self.d < 1:
-            problems.append(f"d must be >= 1, got {self.d}")
-        elif not 1 <= self.m <= 1 << (self.d - 1):
-            problems.append(f"m must be in [1, 2^(d-1)] = [1, {1 << (self.d - 1)}], got {self.m}")
+        for name in ("d", "m", "r", "levels", "seed", "function_seed"):
+            value = getattr(self, name)
+            if name == "function_seed" and value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                problems.append(f"{name} must be an integer, got {value!r}")
+        for name in ("delta", "tau0", "rho"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                problems.append(f"{name} must be a real number, got {value!r}")
+        if problems:
+            raise ValueError("invalid screen config: " + "; ".join(problems))
+        try:
+            check_domain(self.family, self.d, self.m)
+        except ValueError as exc:
+            problems.append(str(exc))
         if self.r < 2:
             problems.append(f"r must be >= 2, got {self.r}")
         if not 0 < self.delta <= 1:
             problems.append(f"delta must be in (0,1], got {self.delta}")
         if self.levels < 2:
             problems.append(f"levels must be >= 2, got {self.levels}")
-        if self.family not in ("G", "H", "M", "path"):
-            problems.append(f"unknown family {self.family!r}")
-        if self.family == "path" and self.m != 1:
-            problems.append("family 'path' requires m=1")
         if self.sigma_estimator not in ("pooled", "between"):
             problems.append(f"unknown sigma estimator {self.sigma_estimator!r}")
-        if not isinstance(self.seed, int):
-            problems.append("seed must be an integer")
         if problems:
             raise ValueError("invalid screen config: " + "; ".join(problems))
 
@@ -209,7 +216,7 @@ def run_screen(config: ScreenConfig,
         transformed, s, perm = randomize(design, rng)
         od = order_vertices(transformed)
         base = sample_base(d, config.delta, config.levels, rng)
-        rep = embed(od, base, config.delta, reflection=s, permutation=perm)
+        rep = embed(od, base, config.delta)
         f_values = np.asarray(func(np.array(rep.points, dtype=float)), dtype=float)
         n_evals += len(rep.points)
         for i in range(1, d + 1):
@@ -227,6 +234,8 @@ def run_screen(config: ScreenConfig,
 
 
 def config_from_dict(obj: dict) -> ScreenConfig:
+    if not isinstance(obj, dict):
+        raise ValueError("screen config must be a JSON object")
     if "seed" not in obj:
         raise ValueError("screen config is missing required field 'seed'")
     known = {f for f in ScreenConfig.__dataclass_fields__}

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from eqdesign import cli
 from eqdesign.families import generate, q_min
@@ -101,6 +102,15 @@ def test_verify_parse_error(tmp_path, capsys):
     assert code == cli.EXIT_IO
 
 
+@pytest.mark.parametrize("terms", [["0a0"], ["000", "000", "100"]])
+def test_verify_rejects_malformed_terms(tmp_path, capsys, terms):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"d": 3, "m": None, "family": None, "terms": terms}))
+    code, _, stderr = run_cli(capsys, "verify", "--in", str(path))
+    assert code == cli.EXIT_IO
+    assert "cannot read design" in stderr
+
+
 def test_json_reserialize_byte_identical(tmp_path, capsys):
     path = tmp_path / "h.json"
     run_cli(capsys, "generate", "--family", "H", "--d", "7", "--m", "3",
@@ -122,6 +132,16 @@ def test_economy_table(tmp_path, capsys):
         assert size == predicted
         assert len(generate(family, int(d), int(m))) == int(size)
     assert any(r[0] == "M" for r in rows)
+
+
+@pytest.mark.parametrize("argv", [("--d", "0"), ("--d", "63"),
+                                  ("--d", "10", "--m-max", "0"),
+                                  ("--d", "10", "--m-max", "-3")])
+def test_economy_bad_input(capsys, argv):
+    code, stdout, stderr = run_cli(capsys, "economy", *argv)
+    assert code == cli.EXIT_USAGE
+    assert stderr.startswith("error: ")
+    assert stdout == ""
 
 
 def test_pairs_csv_command(tmp_path, capsys):
@@ -167,6 +187,18 @@ def test_screen_missing_seed(tmp_path, capsys):
                               "--out", str(tmp_path / "r.csv"))
     assert code == cli.EXIT_USAGE
     assert "seed" in stderr
+
+
+@pytest.mark.parametrize("fields", [{"r": "3"}, {"d": "20"}, {"levels": 2.5},
+                                    {"seed": True}, {"family": "H", "m": 1}])
+def test_screen_rejects_bad_config(tmp_path, capsys, fields):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 0, **fields}))
+    code, _, stderr = run_cli(capsys, "screen", "--config", str(cfg),
+                              "--out", str(tmp_path / "r.csv"))
+    assert code == cli.EXIT_USAGE
+    assert stderr.startswith("error: invalid screen config")
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_oracle_command(capsys):

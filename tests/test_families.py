@@ -1,13 +1,15 @@
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
-from eqdesign.families import (alpha_h, economy, economy_limits, gen_G, gen_H,
+from eqdesign.families import (FAMILIES, alpha_h, economy_limits, gen_G, gen_H,
                                gen_M, gen_path, generate, leaf_counts,
                                min_size_oracle, predicted_size,
                                predicted_size_G, predicted_size_H,
                                predicted_size_M, q_min)
-from eqdesign.poly import DesignPoly, mono_from_vars
+from eqdesign.poly import MAX_DIM, DesignPoly, mono_from_vars
+from eqdesign.screening import ScreenConfig
 
 from conftest import brute_edge_profile
 
@@ -155,11 +157,11 @@ def test_gen_M_blocks_share_only_origin():
 
 def test_economy():
     for d in (3, 6, 10):
-        assert economy(gen_path(d), 1) == Fraction(d, d + 1)
+        assert gen_path(d).economy(1) == Fraction(d, d + 1)
         assert DesignPoly.full(d).economy() == Fraction(d, 2)
-    assert economy(gen_M(20, 4), 4) == Fraction(80, 49)
+    assert gen_M(20, 4).economy(4) == Fraction(80, 49)
     with pytest.raises(ValueError):
-        economy(DesignPoly.of(3, [0, 0b001, 0b010, 0b101, 0b110]))
+        DesignPoly.of(3, [0, 0b001, 0b010, 0b101, 0b110]).economy()
 
 
 def test_economy_limits():
@@ -212,3 +214,64 @@ def test_family_ordering_small():
             if d >= 2 * q_min(m):
                 sizes["M"] = len(gen_M(d, m))
                 assert sizes["H"] >= sizes["M"], (d, m)
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+def _in_domain(family, d, m) -> bool:
+    """The paper's domains, restated independently of families.check_domain."""
+    if family not in ("G", "H", "M", "path") or not 1 <= d <= MAX_DIM:
+        return False
+    if not 1 <= m <= 1 << (d - 1):
+        return False
+    return {"G": True, "H": m >= 2, "path": m == 1,
+            "M": d >= 2 * ((m - 1).bit_length() + 1)}[family]
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("Q", ""))
+def test_domain_agreement_grid(family):
+    for d in (0, 1, 2, 3, 4, 5, 6, 8, 12, 62, 63):
+        top = 1 << max(d - 1, 0)
+        for m in sorted({0, 1, 2, 3, 4, 5, top, top + 1}):
+            sized = _accepts(lambda: predicted_size(family, d, m))
+            valid = _accepts(lambda: ScreenConfig(d=d, m=m, family=family, seed=0).validate())
+            assert sized == valid == _in_domain(family, d, m), (family, d, m)
+            if not sized:
+                assert not _accepts(lambda: generate(family, d, m)), (family, d, m)
+            elif predicted_size(family, d, m) <= 5000:
+                assert len(generate(family, d, m)) == predicted_size(family, d, m), (family, d, m)
+
+
+def _connected(design) -> bool:
+    """Breadth-first search over the hypercube edges inside the design."""
+    start = min(design.terms)
+    seen, queue = {start}, deque([start])
+    while queue:
+        v = queue.popleft()
+        for i in range(design.dim):
+            u = v ^ (1 << i)
+            if u in design.terms and u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) == len(design)
+
+
+def test_designs_connected():
+    checked = 0
+    for d in range(1, 9):
+        for m in range(1, (1 << (d - 1)) + 1):
+            for family in FAMILIES:
+                try:
+                    design = generate(family, d, m)
+                except ValueError:
+                    continue  # outside the family's domain
+                assert _connected(design), (family, d, m)
+                checked += 1
+    assert checked > 500
+    assert not _connected(DesignPoly.of(3, [0, 0b011]))

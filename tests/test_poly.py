@@ -111,10 +111,6 @@ def test_union_semantics():
     assert a.union_disjoint(b).terms == frozenset([0, X1, X2])
     with pytest.raises(ValueError):
         a.union_disjoint(DesignPoly.of(2, [X1]))
-    c = DesignPoly.of(2, [0, X2])
-    assert a.merge_shared_origin(c).terms == frozenset([0, X1, X2])
-    with pytest.raises(ValueError):
-        a.merge_shared_origin(DesignPoly.of(2, [0, X1]))
 
 
 def test_invalid_construction():
@@ -142,6 +138,17 @@ def test_design_from_dict_validation():
         design_from_dict({"d": 3, "terms": ["10"]})
     with pytest.raises(ValueError):
         design_from_dict({"terms": []})
+    with pytest.raises(ValueError):
+        design_from_dict({"d": 3, "terms": ["0a0"]})
+    with pytest.raises(ValueError, match="duplicate"):
+        design_from_dict({"d": 3, "terms": ["000", "000", "100"]})
+    with pytest.raises(ValueError):
+        design_from_dict({"d": 1, "terms": "01"})
+    with pytest.raises(ValueError):
+        design_from_dict({"d": 3, "terms": [5]})
+    with pytest.raises(ValueError):
+        design_from_dict({"d": True, "terms": ["1"]})
+    assert design_from_dict({"d": 3, "terms": ["000"]}).terms == frozenset([0])
 
 
 def test_dot_export():

@@ -1,11 +1,17 @@
-"""Property-based checks of the algebraic invariants behind the design families."""
+"""Property-based checks of the algebraic invariants behind the design families,
+and fuzzing of the two parsers of outside input."""
+import json
+import numbers
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqdesign.effects import build_incidence, embed, elementary_effects, \
     order_vertices, randomize
-from eqdesign.families import gen_G, gen_H, gen_M, gen_path, q_min
-from eqdesign.poly import DesignPoly
+from eqdesign.families import FAMILIES, gen_G, gen_H, gen_M, gen_path, q_min
+from eqdesign.poly import DesignPoly, loads_design, mono_str
+from eqdesign.screening import ScreenConfig, config_from_dict
 
 from conftest import (brute_direction_pairs, brute_edge_profile, design_polys,
                       monomials_in, permutations_of)
@@ -151,3 +157,53 @@ def test_randomize_preserves_size_and_profile_multiset(d, seed):
     q, s, perm = randomize(p, rng)
     assert len(q) == len(p)
     assert sorted(q.edge_profile()) == sorted(p.edge_profile())
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 70), st.integers(),
+                         st.floats(), st.text(max_size=4))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+INT_FIELDS = ("d", "m", "r", "levels", "seed", "function_seed")
+REAL_FIELDS = ("delta", "tau0", "rho")
+
+
+@given(st.dictionaries(st.sampled_from(tuple(ScreenConfig.__dataclass_fields__)),
+                       json_values) | json_values)
+def test_config_from_dict_is_typed_or_rejected(obj):
+    try:
+        cfg = config_from_dict(obj)
+    except ValueError:
+        return
+    for name in INT_FIELDS:
+        value = getattr(cfg, name)
+        assert type(value) is int or name == "function_seed" and value is None
+    for name in REAL_FIELDS:
+        assert isinstance(getattr(cfg, name), numbers.Real)
+        assert not isinstance(getattr(cfg, name), bool)
+    assert cfg.family in FAMILIES
+
+
+@given(st.sampled_from(INT_FIELDS + REAL_FIELDS),
+       st.one_of(st.text(), st.booleans(), st.lists(st.integers(), max_size=2)))
+def test_config_from_dict_rejects_wrong_types(name, value):
+    with pytest.raises(ValueError):
+        config_from_dict({"seed": 0, name: value})
+
+
+@given(st.one_of(
+    st.fixed_dictionaries({
+        "d": st.integers(-1, 6) | json_scalars,
+        "terms": st.lists(st.text(alphabet="01", max_size=6) | json_scalars, max_size=6)
+        | json_values,
+    }).map(json.dumps),
+    json_values.map(json.dumps),
+    st.text(max_size=20)))
+def test_loads_design_is_faithful_or_rejected(text):
+    try:
+        design, obj = loads_design(text)
+    except ValueError:
+        return
+    assert sorted(mono_str(t, design.dim) for t in design.terms) == sorted(obj["terms"])

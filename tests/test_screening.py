@@ -10,12 +10,13 @@ from eqdesign.screening import (REFERENCE_CLASSES, ScreenConfig, BenchmarkFuncti
 
 
 def test_w_transform():
-    for i in (1, 2, 3, 5, 7, 12):
-        assert w_transform(0.0, i) == pytest.approx(-1.0)
-    assert w_transform(1.0, 3) == pytest.approx(2.2 / 1.1 - 1.0)
-    assert w_transform(0.5, 1) == 0.0
-    assert w_transform(1.0, 1) == 1.0
-    assert w_transform(0.5, 5) != 0.0  # rational branch is not centred
+    assert w_transform(np.zeros(20)) == pytest.approx(np.full(20, -1.0))
+    ones = w_transform(np.ones((2, 20)))
+    assert ones[:, 2] == pytest.approx(2.2 / 1.1 - 1.0)
+    assert np.all(ones[:, 0] == 1.0)
+    half = w_transform(np.full(20, 0.5))
+    assert half[0] == 0.0
+    assert half[4] != 0.0  # rational branch is not centred
 
 
 def test_reference_classes():
