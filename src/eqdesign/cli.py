@@ -70,12 +70,12 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     profile = design.edge_profile()
     print(f"profile={profile}")
-    first = profile[0]
-    if all(c == first for c in profile):
-        print(f"equitable, m={first}")
-        return EXIT_OK
-    print("not equitable")
-    return EXIT_NEGATIVE
+    m = poly.common_multiplicity(profile)
+    if m is None:
+        print("not equitable")
+        return EXIT_NEGATIVE
+    print(f"equitable, m={m}")
+    return EXIT_OK
 
 
 def cmd_economy(args) -> int:
@@ -87,17 +87,26 @@ def cmd_economy(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    lines = ["family,d,m,size,predicted_size,economy"]
     m_max = min(args.m_max or 1 << (d - 1), 1 << (d - 1))
+    rows, total = [], 0
     for m in range(1, m_max + 1):
         for family in ("G", "H", "M"):
             try:
                 predicted = families.predicted_size(family, d, m)
             except ValueError:
                 continue  # outside the family's domain: no row
-            design = families.generate(family, d, m)
-            gamma = Fraction(m * d, len(design))
-            lines.append(f"{family},{d},{m},{len(design)},{predicted},{gamma}")
+            total += predicted
+            if total > families.MAX_DESIGN_VERTICES:
+                print(f"error: the table up to m={m} would build more than "
+                      f"{families.MAX_DESIGN_VERTICES} vertices; pass a smaller --m-max",
+                      file=sys.stderr)
+                return EXIT_USAGE
+            rows.append((family, m, predicted))
+    lines = ["family,d,m,size,predicted_size,economy"]
+    for family, m, predicted in rows:
+        design = families.generate(family, d, m)
+        gamma = Fraction(m * d, len(design))
+        lines.append(f"{family},{d},{m},{len(design)},{predicted},{gamma}")
     text = "\n".join(lines) + "\n"
     if args.out:
         write_atomic(args.out, text)
@@ -151,7 +160,7 @@ def cmd_oracle(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"min_size={size}")
-    print("witness: " + " ".join(poly.mono_str(t, args.d) for t in witness.ordered_terms))
+    print("witness: " + " ".join(poly.mono_str(t, args.d) for t in witness.ordered_terms.tolist()))
     return EXIT_OK
 
 

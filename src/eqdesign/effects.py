@@ -1,24 +1,33 @@
 """From a design to elementary effects: vertex ordering, per-direction pair
 incidence, randomized replication, geometric embedding, and the mu/mu*/sigma
 statistics pooled over replicates.
+
+Ordering, incidence and embedding work on the design's cached int64 vertex
+arrays; the effects and their statistics stay in Python floats, summed in a
+fixed order so that reports are reproducible to the last bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence
 
 import numpy as np
 
-from .poly import DesignPoly, mono_str
+from .poly import DesignPoly, edge_index, mono_str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderedDesign:
-    """A design with its canonical graded-lex vertex list (1-based indexing downstream)."""
+    """A design with its canonical graded-lex vertex order (1-based indexing downstream).
+
+    `vertices` is the design's read-only int64 array in graded-lex order: row
+    k+1 of every incidence is vertices[k].
+    """
 
     design: DesignPoly
-    vertices: tuple
+    vertices: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -26,6 +35,27 @@ class OrderedDesign:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def all_pairs(self) -> tuple:
+        """(pairs, starts): every direction's (row, col, sign) pairs, by direction
+        then row, and the offset in pairs at which each direction starts, plus
+        the end (d+1 offsets).
+
+        An edge's upper endpoint has one more degree than its lower one, so it
+        comes later in graded-lex order: row is always the lower endpoint and
+        every sign is +1.
+        """
+        design = self.design
+        n = len(self.vertices)
+        direction, lower, upper = edge_index(design.sorted_terms, design.dim, self.vertices)
+        row_of = np.empty(n, dtype=np.int64)
+        row_of[design.grlex_index] = np.arange(1, n + 1)
+        # edges come by row; a stable sort by direction keeps rows in order
+        order = np.argsort(direction.astype(np.uint8), kind="stable")
+        rows, cols = (lower[order] + 1).tolist(), row_of[upper[order]].tolist()
+        starts = np.searchsorted(direction[order], np.arange(design.dim + 1))
+        return [(row, col, 1) for row, col in zip(rows, cols)], starts.tolist()
 
 
 def order_vertices(design: DesignPoly) -> OrderedDesign:
@@ -47,22 +77,12 @@ class EffectIncidence:
 
 
 def build_incidence(od: OrderedDesign, direction: int) -> EffectIncidence:
+    """Direction `direction`'s pairs, sliced from the OrderedDesign's all-direction pass."""
     if not 1 <= direction <= od.dim:
         raise ValueError(f"direction must be in 1..{od.dim}, got {direction}")
-    bit = 1 << (direction - 1)
-    index = {v: k + 1 for k, v in enumerate(od.vertices)}
-    pairs = []
-    for v in od.vertices:
-        if not v & bit:
-            partner = index.get(v | bit)
-            if partner is None:
-                continue
-            lower = index[v]
-            row, col = min(lower, partner), max(lower, partner)
-            sign = 1 if row == lower else -1
-            pairs.append((row, col, sign))
-    pairs.sort()
-    return EffectIncidence(direction=direction, pairs=tuple(pairs))
+    pairs, starts = od.all_pairs
+    return EffectIncidence(direction=direction,
+                           pairs=tuple(pairs[starts[direction - 1]:starts[direction]]))
 
 
 def elementary_effects(inc: EffectIncidence, f_values: Sequence[float],
@@ -89,13 +109,13 @@ def randomize(design: DesignPoly, rng: np.random.Generator):
     return design.mirror(s).permute(perm), s, perm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplicatedDesign:
     """One embedded replicate: points[k] corresponds to vertices[k]."""
 
     base_point: tuple
     delta: float
-    points: tuple  # of coordinate tuples in [0,1]^d
+    points: np.ndarray  # float (|S|, d), rows in [0,1]^d
 
 
 _EPS = 1e-9
@@ -111,10 +131,10 @@ def embed(od: OrderedDesign, base: Sequence[float], delta: float) -> ReplicatedD
     for x in base:
         if x < -_EPS or x > 1 - delta + _EPS:
             raise ValueError(f"base coordinate {x} outside [0, 1-delta]")
-    points = tuple(
-        tuple(min(1.0, base[i] + delta * ((v >> i) & 1)) for i in range(d))
-        for v in od.vertices
-    )
+    # coordinate i of a point is one of two values, min(1, base[i] + delta * bit)
+    levels = np.array([[min(1.0, b + delta * bit) for b in base] for bit in (0, 1)])
+    columns = np.arange(d)
+    points = levels[(od.vertices[:, None] >> columns) & 1, columns]
     return ReplicatedDesign(base_point=tuple(base), delta=delta, points=points)
 
 
@@ -178,13 +198,10 @@ def pairs_csv(od: OrderedDesign) -> str:
     """Pair listing for all directions: direction,row,col,sign,lower_vertex,upper_vertex."""
     lines = ["direction,row,col,sign,lower_vertex,upper_vertex"]
     d = od.dim
+    words = [mono_str(v, d) for v in od.vertices.tolist()]
     for i in range(1, d + 1):
         inc = build_incidence(od, i)
+        # every sign is +1: the row vertex is the lower endpoint (see all_pairs)
         for row, col, sign in inc.pairs:
-            lo_idx, hi_idx = (row, col) if sign == 1 else (col, row)
-            lower = od.vertices[lo_idx - 1]
-            upper = od.vertices[hi_idx - 1]
-            lines.append(
-                f"{i},{row},{col},{sign:+d},{mono_str(lower, d)},{mono_str(upper, d)}"
-            )
+            lines.append(f"{i},{row},{col},{sign:+d},{words[row - 1]},{words[col - 1]}")
     return "\n".join(lines) + "\n"

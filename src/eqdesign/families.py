@@ -280,9 +280,18 @@ def check_domain(family: str, d: int, m: int) -> None:
         raise ValueError(f"family 'M' requires d >= 2*q_min(m) = {2 * q_min(m)}, got d={d}")
 
 
+# generate() refuses designs above this many vertices.  A design is a frozenset
+# of Python ints, about 76 bytes a vertex on CPython 3.11, so 2^22 vertices
+# already take some 320 MB before any array or screening work.
+MAX_DESIGN_VERTICES = 1 << 22
+
+
 def generate(family: str, d: int, m: int) -> DesignPoly:
-    """The (d, m) design of the named family."""
-    check_domain(family, d, m)
+    """The (d, m) design of the named family, if it has at most MAX_DESIGN_VERTICES vertices."""
+    size = predicted_size(family, d, m)
+    if size > MAX_DESIGN_VERTICES:
+        raise ValueError(f"{family}({d}, {m}) would have {size} vertices, "
+                         f"above the cap of {MAX_DESIGN_VERTICES}")
     return _REGISTRY[family].build(d, m)
 
 

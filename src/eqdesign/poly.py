@@ -6,6 +6,11 @@ monomials with coefficients in {0,1}, stored as a set of bitmasks.  Products
 of monomials are XORs of bitmasks, and the scalar product making the monomial
 basis orthonormal turns several graph quantities (size, per-direction edge
 counts) into one-line computations.
+
+Since d <= 62, every monomial fits in an int64.  A design caches its terms as
+one int64 array (value-sorted, plus the graded-lex permutation of it), and
+the per-vertex bulk operations -- edge counts, relabelling, ordering -- run
+on that array.  Construction (mirror, union, shift) stays on the set.
 """
 from __future__ import annotations
 
@@ -15,11 +20,17 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 MAX_DIM = 62
 
 # complement() materialises all 2^d vertices; refuse dimensions where that
 # would allocate hundreds of millions of ints
 MAX_ENUM_DIM = 26
+
+# vertex-direction cells per block in the array passes over all d directions;
+# bounds their temporaries to a few hundred kB whatever the design's size
+BLOCK_CELLS = 1 << 16
 
 
 class DimensionMismatch(ValueError):
@@ -57,13 +68,13 @@ def mono_from_vars(*indices: int) -> int:
 def mono_str(mono: int, dim: int) -> str:
     """Binary-word form, leftmost character = exponent of X_1."""
     check_monomial(mono, dim)
-    return "".join("1" if (mono >> i) & 1 else "0" for i in range(dim))
+    return format(mono, f"0{dim}b")[::-1]
 
 
 def mono_parse(word: str) -> int:
-    if not word or any(c not in "01" for c in word):
+    if not word or word.strip("01"):
         raise ValueError(f"not a binary word: {word!r}")
-    return sum(1 << i for i, c in enumerate(word) if c == "1")
+    return int(word[::-1], 2)
 
 
 def mono_name(mono: int) -> str:
@@ -73,9 +84,50 @@ def mono_name(mono: int) -> str:
     return "".join(f"X{i + 1}" for i in range(mono.bit_length()) if (mono >> i) & 1)
 
 
-def grlex_key(mono: int):
-    """Graded-lexicographic sort key: total degree, then bit pattern as integer."""
-    return (mono.bit_count(), mono)
+def common_multiplicity(profile: Sequence[int]) -> Optional[int]:
+    """The edge count all directions of a profile share, or None if two differ."""
+    first = profile[0]
+    return first if all(c == first for c in profile) else None
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def edge_index(values: np.ndarray, dim: int, scan: Optional[np.ndarray] = None) -> tuple:
+    """All edges among the value-sorted int64 vertices `values` of Q_dim.
+
+    The lower endpoints (bit unset) are looked up in `scan`, a reordering of
+    `values` that defaults to `values` itself.  Returns (direction, lower,
+    upper) arrays: each edge's 0-based direction, the position of its lower
+    endpoint in `scan` and that of its upper endpoint in `values`; edges come
+    by lower endpoint, then direction.  Only the (vertex, direction) cells
+    with the bit unset are searched, BLOCK_CELLS cells at a time.
+    """
+    scan = values if scan is None else scan
+    n = len(values)
+    directions = np.arange(dim, dtype=np.int64)
+    bits = np.left_shift(1, directions)
+    step = max(1, BLOCK_CELLS // dim)
+    parts = []
+    for start in range(0, n, step):
+        block = scan[start:start + step, None]
+        open_cells = (block & bits) == 0
+        upper = (block | bits)[open_cells]
+        # the last term <= upper; upper exceeds a term, so pos >= 0
+        pos = np.searchsorted(values, upper, side="right") - 1
+        hit = values[pos] == upper
+        shape = open_cells.shape
+        direction = np.broadcast_to(directions, shape)[open_cells]
+        vertex = np.broadcast_to(np.arange(start, start + shape[0])[:, None], shape)[open_cells]
+        parts.append((direction[hit], vertex[hit], pos[hit]))
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 @dataclass(frozen=True)
@@ -88,8 +140,9 @@ class DesignPoly:
     def __post_init__(self):
         check_dim(self.dim)
         object.__setattr__(self, "terms", frozenset(self.terms))
-        for t in self.terms:
-            check_monomial(t, self.dim)
+        if self.terms and (min(self.terms) < 0 or max(self.terms) >> self.dim):
+            for t in self.terms:
+                check_monomial(t, self.dim)
 
     @classmethod
     def of(cls, dim: int, terms: Iterable[int]) -> "DesignPoly":
@@ -112,9 +165,23 @@ class DesignPoly:
         return mono in self.terms
 
     @cached_property
-    def ordered_terms(self) -> tuple:
-        """Terms in canonical graded-lex order (degree, then integer value)."""
-        return tuple(sorted(self.terms, key=grlex_key))
+    def sorted_terms(self) -> np.ndarray:
+        """Terms as a read-only int64 array in increasing integer value.
+
+        Python's sort, not numpy's: at paper scale it is as fast, and numpy's
+        SIMD sort would page in about 0.3 MB of code in every process.
+        """
+        return _frozen(np.array(sorted(self.terms), dtype=np.int64))
+
+    @cached_property
+    def grlex_index(self) -> np.ndarray:
+        """Positions in sorted_terms in graded-lex order: a stable sort by degree."""
+        return _frozen(np.argsort(np.bitwise_count(self.sorted_terms), kind="stable"))
+
+    @cached_property
+    def ordered_terms(self) -> np.ndarray:
+        """Terms in canonical graded-lex order (degree, then integer value), as int64."""
+        return _frozen(self.sorted_terms[self.grlex_index])
 
     def _require_same_dim(self, other: "DesignPoly") -> None:
         if self.dim != other.dim:
@@ -146,19 +213,16 @@ class DesignPoly:
     # -- graph quantities --------------------------------------------------
 
     def edge_profile(self) -> tuple:
-        """Per-direction edge counts: <P, X_i P> = 2 m_i."""
-        counts = []
-        for i in range(self.dim):
-            twice = self.scalar(self.mirror(1 << i))
-            assert twice % 2 == 0
-            counts.append(twice // 2)
-        return tuple(counts)
+        """Per-direction edge counts m_i, where <P, X_i P> = 2 m_i.
+
+        Each edge is counted once, from its lower endpoint.
+        """
+        direction, _, _ = edge_index(self.sorted_terms, self.dim)
+        return tuple(np.bincount(direction, minlength=self.dim).tolist())
 
     def is_equitable(self) -> Optional[int]:
         """The common edge multiplicity m if all directions agree, else None."""
-        profile = self.edge_profile()
-        first = profile[0]
-        return first if all(c == first for c in profile) else None
+        return common_multiplicity(self.edge_profile())
 
     def complement(self) -> "DesignPoly":
         """All monomials of Q_dim not in this design."""
@@ -170,16 +234,15 @@ class DesignPoly:
         """Relabel directions: bit i moves to position perm[i]-1 (perm is 1-based)."""
         if sorted(perm) != list(range(1, self.dim + 1)):
             raise ValueError(f"not a permutation of 1..{self.dim}: {list(perm)!r}")
-        table = [p - 1 for p in perm]
-
-        def apply(t: int) -> int:
-            out = 0
-            for i in range(self.dim):
-                if (t >> i) & 1:
-                    out |= 1 << table[i]
-            return out
-
-        return DesignPoly(self.dim, frozenset(apply(t) for t in self.terms))
+        values = np.fromiter(self.terms, dtype=np.int64, count=len(self.terms))
+        shifts = np.arange(self.dim, dtype=np.int64)
+        targets = np.asarray(perm, dtype=np.int64) - 1
+        step = max(1, BLOCK_CELLS // self.dim)
+        for start in range(0, len(values), step):
+            block = values[start:start + step, None]
+            # distinct powers of two, so the sum is their bitwise or
+            values[start:start + step] = (((block >> shifts) & 1) << targets).sum(axis=1)
+        return DesignPoly(self.dim, frozenset(values.tolist()))
 
     def shift(self, k: int, new_dim: int) -> "DesignPoly":
         """Rename every variable index i to i+k, in ambient dimension new_dim."""
@@ -194,13 +257,13 @@ class DesignPoly:
         return DesignPoly(new_dim, frozenset(t << k for t in self.terms))
 
     def edges(self):
-        """All (lower, upper, direction) edges, direction 1-based; lower has bit unset."""
-        out = []
-        for t in self.ordered_terms:
-            for i in range(self.dim):
-                if not (t >> i) & 1 and t | (1 << i) in self.terms:
-                    out.append((t, t | (1 << i), i + 1))
-        return out
+        """All (lower, upper, direction) edges, direction 1-based; lower has bit unset.
+
+        Edges come by the lower endpoint's graded-lex position, then direction.
+        """
+        direction, lower, upper = edge_index(self.sorted_terms, self.dim, self.ordered_terms)
+        return list(zip(self.ordered_terms[lower].tolist(), self.sorted_terms[upper].tolist(),
+                        (direction + 1).tolist()))
 
     def economy(self, m: Optional[int] = None) -> Fraction:
         """Elementary effects per function evaluation, Gamma = m*d/|S|."""
@@ -224,7 +287,7 @@ def design_to_dict(design: DesignPoly, family: Optional[str] = None,
         "d": design.dim,
         "m": m,
         "family": family,
-        "terms": [mono_str(t, design.dim) for t in design.ordered_terms],
+        "terms": [mono_str(t, design.dim) for t in design.ordered_terms.tolist()],
     }
 
 
@@ -260,7 +323,7 @@ def loads_design(text: str) -> tuple:
 def to_dot(design: DesignPoly, name: str = "design") -> str:
     """Graphviz form: nodes labelled by binary word, edges tagged with their direction."""
     lines = [f"graph {name} {{"]
-    for t in design.ordered_terms:
+    for t in design.ordered_terms.tolist():
         lines.append(f'  "{mono_str(t, design.dim)}";')
     for lo, hi, direction in design.edges():
         lines.append(

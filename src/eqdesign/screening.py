@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, asdict
 from typing import Callable, List, Optional
@@ -192,12 +193,26 @@ class ScreenReport:
         return json.dumps(obj, indent=2) + "\n"
 
 
+def _check_values(f_values: np.ndarray, od, where: str) -> None:
+    """Fail unless func gave one finite value per vertex of the replicate."""
+    if f_values.shape != (len(od),):
+        raise ValueError(f"{where}: func returned shape {f_values.shape} "
+                         f"for {len(od)} points, expected ({len(od)},)")
+    # min and max propagate NaN, so both are finite exactly when every value is
+    if not (math.isfinite(f_values.min()) and math.isfinite(f_values.max())):
+        k = int(np.argmin(np.isfinite(f_values)))
+        raise ValueError(f"{where}: func returned {float(f_values[k])} at vertex "
+                         f"{mono_str(int(od.vertices[k]), od.dim)}")
+
+
 def run_screen(config: ScreenConfig,
                func: Optional[Callable] = None) -> ScreenReport:
     """Generate the design, run r randomized replicates, pool statistics, classify.
 
-    When func is omitted, the 20-factor benchmark built from the config's
-    function seed is used (requires d=20).
+    func maps an (|S|, d) float array of points to |S| finite values; a
+    wrong shape or a NaN or infinite value raises ValueError naming the
+    replicate and the vertex.  When func is omitted, the 20-factor benchmark
+    built from the config's function seed is used (requires d=20).
     """
     config.validate()
     if func is None:
@@ -212,12 +227,13 @@ def run_screen(config: ScreenConfig,
     samples: List[List[List[float]]] = [[] for _ in range(d)]
     replicates = []
     n_evals = 0
-    for _ in range(config.r):
+    for j in range(1, config.r + 1):
         transformed, s, perm = randomize(design, rng)
         od = order_vertices(transformed)
         base = sample_base(d, config.delta, config.levels, rng)
         rep = embed(od, base, config.delta)
-        f_values = np.asarray(func(np.array(rep.points, dtype=float)), dtype=float)
+        f_values = np.asarray(func(rep.points), dtype=float)
+        _check_values(f_values, od, f"replicate {j} of {config.r}")
         n_evals += len(rep.points)
         for i in range(1, d + 1):
             inc = build_incidence(od, i)

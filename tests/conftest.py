@@ -40,3 +40,55 @@ def monomials_in(draw, dim):
 @st.composite
 def permutations_of(draw, dim):
     return tuple(p + 1 for p in draw(st.permutations(range(dim))))
+
+
+# Bit-loop references for the int64 array passes of poly and effects.
+
+def grlex_reference(terms):
+    """Graded-lex order by explicit popcount, then integer value."""
+    return sorted(terms, key=lambda t: (bin(t).count("1"), t))
+
+
+def permute_reference(mono, perm):
+    """Move bit i to position perm[i]-1, one bit at a time."""
+    out = 0
+    for i, p in enumerate(perm):
+        if (mono >> i) & 1:
+            out |= 1 << (p - 1)
+    return out
+
+
+def incidence_reference(vertices, direction):
+    """(row, col, sign) pairs of a direction from a vertex -> row dict, sorted."""
+    bit = 1 << (direction - 1)
+    index = {v: k + 1 for k, v in enumerate(vertices)}
+    pairs = []
+    for v in vertices:
+        if not v & bit and v | bit in index:
+            lower, upper = index[v], index[v | bit]
+            pairs.append((min(lower, upper), max(lower, upper), 1 if lower < upper else -1))
+    return tuple(sorted(pairs))
+
+
+def embed_reference(vertices, base, delta):
+    """Points base + delta * bits, coordinate by coordinate, capped at 1."""
+    return [[min(1.0, b + delta * ((v >> i) & 1)) for i, b in enumerate(base)]
+            for v in vertices]
+
+
+@st.composite
+def wide_design_polys(draw, min_size=0):
+    """Designs in Q_d for d up to 62, grown as clusters of neighbours so that
+    they have edges.  Cluster centres are drawn with the top bit X_d set half
+    the time, so designs with d > 53 hold terms >= 2^53, and at d = 62 terms
+    with bit 61 set."""
+    d = draw(st.one_of(st.just(62), st.integers(54, 62), st.integers(1, 62)))
+    word = st.integers(0, (1 << d) - 1)
+    terms = set()
+    for centre in draw(st.lists(word, min_size=max(min_size, 1), max_size=8)):
+        if draw(st.booleans()):
+            centre |= 1 << (d - 1)
+        terms.add(centre)
+        for i in draw(st.lists(st.integers(0, d - 1), max_size=5)):
+            terms.add(centre ^ (1 << i))
+    return DesignPoly.of(d, terms)

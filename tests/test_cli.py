@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from eqdesign import cli
+from eqdesign import cli, screening
 from eqdesign.families import generate, q_min
 from eqdesign.poly import dumps_design, loads_design
 
@@ -213,3 +214,29 @@ def test_oracle_command(capsys):
 def test_usage_error_exit_code(capsys):
     code, _, _ = run_cli(capsys, "generate", "--family", "Q", "--d", "3")
     assert code == cli.EXIT_USAGE
+
+
+def test_economy_refuses_tables_above_the_cap(capsys):
+    # without --m-max the table would run to m = 2^39
+    code, stdout, stderr = run_cli(capsys, "economy", "--d", "40")
+    assert code == 2 and stdout == ""
+    assert "--m-max" in stderr and "Traceback" not in stderr
+
+
+def test_generate_refuses_designs_above_the_cap(tmp_path, capsys):
+    out = tmp_path / "h.json"
+    code, _, stderr = run_cli(capsys, "generate", "--family", "H", "--d", "62",
+                              "--m", "1048576", "--out", str(out))
+    assert code == 2 and "above the cap" in stderr
+    assert not out.exists()
+
+
+def test_screen_rejects_non_finite_function(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(screening, "build_test_function",
+                        lambda seed: lambda pts: np.full(len(pts), np.nan))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 0}))
+    out = tmp_path / "report.csv"
+    code, _, stderr = run_cli(capsys, "screen", "--config", str(cfg), "--out", str(out))
+    assert code == 2 and "func returned nan at vertex" in stderr
+    assert not out.exists()

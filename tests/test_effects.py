@@ -19,14 +19,14 @@ E42 = DesignPoly.of(4, [0, X1, X2, X1 | X2, X1 | X2 | X3, X1 | X2 | X4,
 
 def test_order_vertices_worked_example():
     od = order_vertices(E42)
-    assert od.vertices == (0, X1, X2, X1 | X2, X1 | X2 | X3, X1 | X2 | X4,
-                           X1 | X2 | X3 | X4)
+    assert od.vertices.tolist() == [0, X1, X2, X1 | X2, X1 | X2 | X3, X1 | X2 | X4,
+                                    X1 | X2 | X3 | X4]
     assert len(od) == 7
 
 
 def test_order_single_and_lex():
-    assert order_vertices(DesignPoly.of(3, [0])).vertices == (0,)
-    assert order_vertices(DesignPoly.of(2, [X2, X1])).vertices == (X1, X2)
+    assert order_vertices(DesignPoly.of(3, [0])).vertices.tolist() == [0]
+    assert order_vertices(DesignPoly.of(2, [X2, X1])).vertices.tolist() == [X1, X2]
     with pytest.raises(ValueError):
         order_vertices(DesignPoly.zero(2))
 
@@ -118,9 +118,9 @@ def test_randomize_preserves_equitability():
 def test_embed():
     od = order_vertices(gen_path(2))
     rep = embed(od, [0.25, 0.5], 0.25)
-    assert rep.points == ((0.25, 0.5), (0.5, 0.5), (0.5, 0.75))
+    assert rep.points.tolist() == [[0.25, 0.5], [0.5, 0.5], [0.5, 0.75]]
     whole = embed(od, [0.0, 0.0], 1.0)
-    assert whole.points == ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
+    assert whole.points.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
     with pytest.raises(ValueError):
         embed(od, [0.9, 0.0], 0.25)
     with pytest.raises(ValueError):

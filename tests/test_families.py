@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from eqdesign.families import (FAMILIES, alpha_h, economy_limits, gen_G, gen_H,
-                               gen_M, gen_path, generate, leaf_counts,
-                               min_size_oracle, predicted_size,
-                               predicted_size_G, predicted_size_H,
-                               predicted_size_M, q_min)
+from eqdesign.families import (FAMILIES, MAX_DESIGN_VERTICES, alpha_h,
+                               economy_limits, gen_G, gen_H, gen_M, gen_path,
+                               generate, leaf_counts, min_size_oracle,
+                               predicted_size, predicted_size_G,
+                               predicted_size_H, predicted_size_M, q_min)
 from eqdesign.poly import MAX_DIM, DesignPoly, mono_from_vars
 from eqdesign.screening import ScreenConfig
 
@@ -203,6 +203,15 @@ def test_generate_dispatch():
         generate("Z", 3, 1)
     with pytest.raises(ValueError):
         generate("path", 4, 2)
+
+
+def test_generate_refuses_designs_above_the_cap():
+    # 34.6M vertices: refused from the size formula, before anything is built
+    assert predicted_size("H", 62, 1 << 20) > MAX_DESIGN_VERTICES
+    with pytest.raises(ValueError, match="above the cap"):
+        generate("H", 62, 1 << 20)
+    with pytest.raises(ValueError, match="above the cap"):
+        generate("G", 62, 1 << 61)
 
 
 def test_family_ordering_small():

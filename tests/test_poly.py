@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from eqdesign.poly import (DesignPoly, DimensionMismatch, design_from_dict,
-                           design_to_dict, dumps_design, loads_design,
-                           mono_from_vars, mono_mul, mono_name, mono_parse,
-                           mono_str, to_dot)
+from eqdesign.poly import (DesignPoly, DimensionMismatch, common_multiplicity,
+                           design_from_dict, design_to_dict, dumps_design,
+                           loads_design, mono_from_vars, mono_mul, mono_name,
+                           mono_parse, mono_str, to_dot)
 
 X1, X2, X3, X4 = 0b0001, 0b0010, 0b0100, 0b1000
 
@@ -70,6 +70,12 @@ def test_is_equitable():
     assert square.is_equitable() == 2
     lopsided = DesignPoly.of(3, [0, X1, X2, X1 | X3, X2 | X3])
     assert lopsided.is_equitable() is None
+
+
+def test_common_multiplicity():
+    assert common_multiplicity((2, 2, 2)) == 2
+    assert common_multiplicity((0,)) == 0
+    assert common_multiplicity((2, 1, 2)) is None
 
 
 def test_complement():

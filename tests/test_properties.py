@@ -14,7 +14,9 @@ from eqdesign.poly import DesignPoly, loads_design, mono_str
 from eqdesign.screening import ScreenConfig, config_from_dict
 
 from conftest import (brute_direction_pairs, brute_edge_profile, design_polys,
-                      monomials_in, permutations_of)
+                      embed_reference, grlex_reference, incidence_reference,
+                      monomials_in, permutations_of, permute_reference,
+                      wide_design_polys)
 
 
 @st.composite
@@ -207,3 +209,58 @@ def test_loads_design_is_faithful_or_rejected(text):
     except ValueError:
         return
     assert sorted(mono_str(t, design.dim) for t in design.terms) == sorted(obj["terms"])
+
+
+# -- the int64 array passes at full width (d up to 62, terms past 2^53) -------
+
+@given(wide_design_polys())
+def test_wide_edge_profile_matches_brute_force(p):
+    assert p.edge_profile() == brute_edge_profile(p)
+
+
+@given(wide_design_polys(), st.data())
+def test_wide_permute_matches_bit_loop(p, data):
+    perm = data.draw(permutations_of(p.dim))
+    assert p.permute(perm).terms == {permute_reference(t, perm) for t in p.terms}
+
+
+@given(wide_design_polys(min_size=1))
+def test_wide_order_and_incidence_match_references(p):
+    od = order_vertices(p)
+    assert od.vertices.dtype == np.int64
+    vertices = od.vertices.tolist()
+    assert vertices == grlex_reference(p.terms)
+    for i in range(1, p.dim + 1):
+        pairs = build_incidence(od, i).pairs
+        assert pairs == incidence_reference(vertices, i)
+        assert {(vertices[r - 1], vertices[c - 1]) for r, c, _ in pairs} == \
+            brute_direction_pairs(vertices, i)
+
+
+@given(wide_design_polys(min_size=1), st.sampled_from([0.25, 0.5, 2 / 3, 1.0]),
+       st.data())
+def test_wide_embed_matches_reference(p, delta, data):
+    od = order_vertices(p)
+    grid = [g for g in (0.0, 0.1, 0.25, 1 / 3) if g <= 1 - delta]
+    base = data.draw(st.lists(st.sampled_from(grid), min_size=p.dim, max_size=p.dim))
+    points = embed(od, base, delta).points
+    assert points.shape == (len(p), p.dim)
+    assert points.tolist() == embed_reference(od.vertices.tolist(), base, delta)
+
+
+def test_blocked_pass_matches_references_across_blocks():
+    # about 4,000 vertices at d=62: several blocks of the all-direction pass
+    rng = np.random.default_rng(0)
+    terms = set()
+    for centre in rng.integers(0, 1 << 62, size=800, dtype=np.int64).tolist():
+        terms.add(centre)
+        terms.update(centre ^ (1 << int(i)) for i in rng.integers(0, 62, size=4))
+    design = DesignPoly.of(62, terms)
+    profile = tuple(sum(1 for t in terms if not t >> i & 1 and t | 1 << i in terms)
+                    for i in range(62))
+    assert design.edge_profile() == profile
+    od = order_vertices(design)
+    vertices = od.vertices.tolist()
+    assert vertices == grlex_reference(terms)
+    for i in range(1, 63):
+        assert build_incidence(od, i).pairs == incidence_reference(vertices, i)

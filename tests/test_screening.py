@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from eqdesign.effects import FactorStats
+from eqdesign.effects import FactorStats, order_vertices, randomize
+from eqdesign.families import generate
+from eqdesign.poly import mono_str
 from eqdesign.screening import (REFERENCE_CLASSES, ScreenConfig, BenchmarkFunction,
                                 build_test_function, classify,
                                 config_from_dict, run_screen, w_transform)
@@ -107,6 +109,35 @@ def test_run_screen_custom_function_other_dim():
     assert all(v == pytest.approx(0.0, abs=1e-9) for v in rep.stats.sigma)
     with pytest.raises(ValueError):
         run_screen(cfg)  # built-in benchmark needs d=20
+
+
+def _first_replicate_vertex(cfg, k):
+    """Binary word of the k-th vertex (0-based) of run_screen's first replicate."""
+    rng = np.random.default_rng(cfg.seed)
+    od = order_vertices(randomize(generate(cfg.family, cfg.d, cfg.m), rng)[0])
+    return mono_str(int(od.vertices[k]), cfg.d)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_screen_rejects_non_finite_values(bad):
+    cfg = ScreenConfig(d=6, m=2, r=3, family="H", seed=8)
+
+    def func(pts):
+        values = pts.sum(axis=1)
+        values[3] = bad
+        return values
+
+    word = _first_replicate_vertex(cfg, 3)
+    with pytest.raises(ValueError) as info:
+        run_screen(cfg, func)
+    assert str(info.value) == f"replicate 1 of 3: func returned {float(bad)} at vertex {word}"
+
+
+@pytest.mark.parametrize("shape", [lambda n: (n, 1), lambda n: (n - 1,), lambda n: ()])
+def test_run_screen_rejects_wrongly_shaped_values(shape):
+    cfg = ScreenConfig(d=6, m=2, r=3, family="H", seed=8)
+    with pytest.raises(ValueError, match=r"^replicate 1 of 3: func returned shape"):
+        run_screen(cfg, lambda pts: np.zeros(shape(len(pts))))
 
 
 def test_config_validation():
