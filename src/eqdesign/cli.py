@@ -65,7 +65,7 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     design, _meta = _load_design(args.input)
-    if not design.terms:
+    if not len(design):
         print("profile=() equitable, m=0")
         return EXIT_OK
     profile = design.edge_profile()
@@ -117,7 +117,7 @@ def cmd_economy(args) -> int:
 
 def cmd_pairs(args) -> int:
     design, _meta = _load_design(args.input)
-    if not design.terms:
+    if not len(design):
         print("error: empty design has no pairs", file=sys.stderr)
         return EXIT_USAGE
     od = effects.order_vertices(design)
@@ -160,7 +160,7 @@ def cmd_oracle(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"min_size={size}")
-    print("witness: " + " ".join(poly.mono_str(t, args.d) for t in witness.ordered_terms.tolist()))
+    print("witness: " + " ".join(poly.format_words(witness.ordered_terms, args.d)))
     return EXIT_OK
 
 

@@ -2,9 +2,9 @@
 incidence, randomized replication, geometric embedding, and the mu/mu*/sigma
 statistics pooled over replicates.
 
-Ordering, incidence and embedding work on the design's cached int64 vertex
-arrays; the effects and their statistics stay in Python floats, summed in a
-fixed order so that reports are reproducible to the last bit.
+Ordering, incidence and embedding work on the design's int64 vertex arrays;
+the effects and their statistics stay in Python floats, summed in a fixed
+order so that reports are reproducible to the last bit.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .poly import DesignPoly, edge_index, mono_str
+from .poly import DesignPoly, edge_index, format_words
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,19 +47,17 @@ class OrderedDesign:
         every sign is +1.
         """
         design = self.design
-        n = len(self.vertices)
         direction, lower, upper = edge_index(design.sorted_terms, design.dim, self.vertices)
-        row_of = np.empty(n, dtype=np.int64)
-        row_of[design.grlex_index] = np.arange(1, n + 1)
         # edges come by row; a stable sort by direction keeps rows in order
         order = np.argsort(direction.astype(np.uint8), kind="stable")
-        rows, cols = (lower[order] + 1).tolist(), row_of[upper[order]].tolist()
+        rows = (lower[order] + 1).tolist()
+        cols = (design.grlex_position[upper[order]] + 1).tolist()
         starts = np.searchsorted(direction[order], np.arange(design.dim + 1))
         return [(row, col, 1) for row, col in zip(rows, cols)], starts.tolist()
 
 
 def order_vertices(design: DesignPoly) -> OrderedDesign:
-    if not design.terms:
+    if not len(design):
         raise ValueError("cannot order an empty design")
     return OrderedDesign(design=design, vertices=design.ordered_terms)
 
@@ -178,7 +176,7 @@ def pooled_stats(samples: Sequence[Sequence[Sequence[float]]],
             raise ValueError("need at least 2 effect samples per direction")
         mean = sum(flat) / len(flat)
         mu.append(mean)
-        mu_star.append(sum(abs(e) for e in flat) / len(flat))
+        mu_star.append(sum(map(abs, flat)) / len(flat))
         if estimator == "pooled":
             var = sum((e - mean) ** 2 for e in flat) / (len(flat) - 1)
         else:
@@ -198,7 +196,7 @@ def pairs_csv(od: OrderedDesign) -> str:
     """Pair listing for all directions: direction,row,col,sign,lower_vertex,upper_vertex."""
     lines = ["direction,row,col,sign,lower_vertex,upper_vertex"]
     d = od.dim
-    words = [mono_str(v, d) for v in od.vertices.tolist()]
+    words = format_words(od.vertices, d)
     for i in range(1, d + 1):
         inc = build_incidence(od, i)
         # every sign is +1: the row vertex is the lower endpoint (see all_pairs)

@@ -57,9 +57,14 @@ def gen_path(d: int) -> DesignPoly:
     return DesignPoly.of(d, ((1 << k) - 1 for k in range(d + 1)))
 
 
+# gen_G, gen_H and _gen_H2 keep this many designs each; more than the 947
+# gen_H entries of an economy table at d=30 up to m=200
+CACHE_SIZE = 1024
+
+
 def _double(inner: DesignPoly, d: int) -> DesignPoly:
     """(1 + X1 Xd) * inner, lifting inner from dimension d-1 to d."""
-    lifted = DesignPoly(d, inner.terms)
+    lifted = DesignPoly(d, inner.sorted_terms)
     x1xd = mono_from_vars(1, d)
     return lifted.union_disjoint(lifted.mirror(x1xd))
 
@@ -67,10 +72,11 @@ def _double(inner: DesignPoly, d: int) -> DesignPoly:
 def _split(lo: DesignPoly, hi: DesignPoly, d: int) -> DesignPoly:
     """lo + X1 Xd * hi, lifting both from dimension d-1 to d."""
     x1xd = mono_from_vars(1, d)
-    return DesignPoly(d, lo.terms).union_disjoint(DesignPoly(d, hi.terms).mirror(x1xd))
+    return DesignPoly(d, lo.sorted_terms).union_disjoint(
+        DesignPoly(d, hi.sorted_terms).mirror(x1xd))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def gen_G(d: int, m: int) -> DesignPoly:
     """The basic recursive family: (d,m)-edge equitable for every 1 <= m <= 2^(d-1)."""
     check_domain("G", d, m)
@@ -88,16 +94,16 @@ def predicted_size_G(d: int, m: int) -> int:
     return m * (d - kappa) + (1 << (kappa + 1)) - m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _gen_H2(d: int) -> DesignPoly:
     if d == 2:
         return DesignPoly.of(2, [0b00, 0b01, 0b10, 0b11])
     if d % 2 == 0:
-        prev = DesignPoly(d, _gen_H2(d - 2).terms)
+        prev = DesignPoly(d, _gen_H2(d - 2).sorted_terms)
         extra = DesignPoly.of(d, [mono_from_vars(d - 1), mono_from_vars(d),
                                   mono_from_vars(d - 1, d)])
     else:
-        prev = DesignPoly(d, _gen_H2(d - 1).terms)
+        prev = DesignPoly(d, _gen_H2(d - 1).sorted_terms)
         extra = DesignPoly.of(d, [mono_from_vars(1, d), mono_from_vars(d - 1, d)])
     return prev.union_disjoint(extra)
 
@@ -111,7 +117,7 @@ def _gen_H3(d: int) -> DesignPoly:
     return DesignPoly.of(d, terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def gen_H(d: int, m: int) -> DesignPoly:
     """The improved-initialisation family, defined for 2 <= m <= 2^(d-1)."""
     check_domain("H", d, m)
@@ -187,8 +193,8 @@ def gen_M(d: int, m: int) -> DesignPoly:
         block, tail = gen_path(q), gen_path(t)
     else:
         block, tail = gen_H(q, m), gen_H(t, m)
-    # all blocks share the origin, which the design holds once
-    block, tail = (DesignPoly(b.dim, b.terms - {0}) for b in (block, tail))
+    # all blocks share the origin, their smallest term, which the design holds once
+    block, tail = (DesignPoly(b.dim, b.sorted_terms[1:]) for b in (block, tail))
     design = DesignPoly.of(d, [0])
     for j in range(copies):
         design = design.union_disjoint(block.shift(j * q, d))
@@ -280,9 +286,10 @@ def check_domain(family: str, d: int, m: int) -> None:
         raise ValueError(f"family 'M' requires d >= 2*q_min(m) = {2 * q_min(m)}, got d={d}")
 
 
-# generate() refuses designs above this many vertices.  A design is a frozenset
-# of Python ints, about 76 bytes a vertex on CPython 3.11, so 2^22 vertices
-# already take some 320 MB before any array or screening work.
+# generate() refuses designs above this many vertices.  The design itself is
+# an int64 array, 8 bytes a vertex (32 MB at the cap), but its JSON and DOT
+# outputs hold a Python string of about 110 bytes per vertex at d=62, and a
+# screen embeds it as a float array of 8*d bytes per vertex.
 MAX_DESIGN_VERTICES = 1 << 22
 
 

@@ -2,15 +2,16 @@
 
 A vertex of Q_d is a monomial, stored as an integer bitmask (bit i set means
 variable X_{i+1} is present).  A subgraph is the formal sum of its vertex
-monomials with coefficients in {0,1}, stored as a set of bitmasks.  Products
-of monomials are XORs of bitmasks, and the scalar product making the monomial
-basis orthonormal turns several graph quantities (size, per-direction edge
-counts) into one-line computations.
+monomials with coefficients in {0,1}.  Products of monomials are XORs of
+bitmasks, and the scalar product making the monomial basis orthonormal turns
+several graph quantities (size, per-direction edge counts) into one-line
+computations.
 
-Since d <= 62, every monomial fits in an int64.  A design caches its terms as
-one int64 array (value-sorted, plus the graded-lex permutation of it), and
-the per-vertex bulk operations -- edge counts, relabelling, ordering -- run
-on that array.  Construction (mirror, union, shift) stays on the set.
+Since d <= 62, every monomial fits in an int64, and a design is one strictly
+increasing int64 array of its monomials.  Every operation is an array pass:
+mirror is an XOR and a sort, union a merge, shift a left shift, relabelling
+a bit gather, and the edge counts, graded-lex order and binary-word
+(de)serialization work on the whole array at once.
 """
 from __future__ import annotations
 
@@ -130,53 +131,99 @@ def edge_index(values: np.ndarray, dim: int, scan: Optional[np.ndarray] = None) 
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-@dataclass(frozen=True)
+def _merge(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(merged, repeats) of two strictly increasing int64 arrays: all their
+    terms in increasing order, and a mask, one shorter, that is True where a
+    term equals its predecessor, i.e. lies in both arrays.
+
+    A stable sort of the concatenation is a merge of its two runs.
+    """
+    merged = np.sort(np.concatenate((a, b)), kind="stable")
+    return merged, merged[1:] == merged[:-1]
+
+
+@dataclass(frozen=True, eq=False)
 class DesignPoly:
-    """A set of distinct monomials in ambient dimension `dim` (a subgraph of Q_dim)."""
+    """A set of distinct monomials in ambient dimension `dim` (a subgraph of Q_dim).
+
+    `sorted_terms` is the whole state: the monomials as a strictly increasing,
+    read-only int64 array.  DesignPoly.of builds a design from any ints.
+    """
 
     dim: int
-    terms: frozenset
+    sorted_terms: np.ndarray
 
     def __post_init__(self):
         check_dim(self.dim)
-        object.__setattr__(self, "terms", frozenset(self.terms))
-        if self.terms and (min(self.terms) < 0 or max(self.terms) >> self.dim):
-            for t in self.terms:
+        values = self.sorted_terms
+        if not (isinstance(values, np.ndarray) and values.dtype == np.int64
+                and values.ndim == 1 and bool(np.all(values[1:] > values[:-1]))):
+            raise ValueError("terms must be a strictly increasing int64 array; "
+                             "use DesignPoly.of for other input")
+        if len(values) and (values[0] < 0 or int(values[-1]) >> self.dim):
+            for t in values.tolist():
                 check_monomial(t, self.dim)
+        _frozen(values)
 
     @classmethod
     def of(cls, dim: int, terms: Iterable[int]) -> "DesignPoly":
-        return cls(dim, frozenset(terms))
+        """The design on the distinct monomials among `terms`, in any order."""
+        check_dim(dim)
+        terms = list(terms)
+        values = np.array(terms)
+        if values.dtype != np.int64 or len(values) and (values.min() < 0
+                                                        or int(values.max()) >> dim):
+            # empty, not all ints of int64 range, or outside Q_dim: check each
+            for t in terms:
+                check_monomial(t, dim)
+            values = np.array(terms, dtype=np.int64)
+        values = np.sort(values, kind="stable")
+        return cls(dim, np.concatenate((values[:1], values[1:][values[1:] != values[:-1]])))
 
     @classmethod
     def zero(cls, dim: int) -> "DesignPoly":
-        return cls(dim, frozenset())
+        return cls(dim, np.zeros(0, dtype=np.int64))
 
     @classmethod
     def full(cls, dim: int) -> "DesignPoly":
         if dim > MAX_ENUM_DIM:
             raise ValueError(f"refusing to enumerate 2^{dim} vertices")
-        return cls(dim, frozenset(range(1 << dim)))
+        return cls(dim, np.arange(1 << dim, dtype=np.int64))
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.sorted_terms)
 
     def __contains__(self, mono: int) -> bool:
-        return mono in self.terms
+        if mono < 0 or mono >> self.dim:
+            return False
+        pos = int(np.searchsorted(self.sorted_terms, mono))
+        return pos < len(self) and int(self.sorted_terms[pos]) == mono
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DesignPoly):
+            return NotImplemented
+        return self.dim == other.dim and np.array_equal(self.sorted_terms, other.sorted_terms)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.sorted_terms.tobytes()))
 
     @cached_property
-    def sorted_terms(self) -> np.ndarray:
-        """Terms as a read-only int64 array in increasing integer value.
-
-        Python's sort, not numpy's: at paper scale it is as fast, and numpy's
-        SIMD sort would page in about 0.3 MB of code in every process.
-        """
-        return _frozen(np.array(sorted(self.terms), dtype=np.int64))
+    def terms(self) -> frozenset:
+        """The monomials as a frozenset of Python ints, built on first request."""
+        return frozenset(self.sorted_terms.tolist())
 
     @cached_property
     def grlex_index(self) -> np.ndarray:
         """Positions in sorted_terms in graded-lex order: a stable sort by degree."""
         return _frozen(np.argsort(np.bitwise_count(self.sorted_terms), kind="stable"))
+
+    @cached_property
+    def grlex_position(self) -> np.ndarray:
+        """Position in graded-lex order of each term of sorted_terms: the
+        inverse of grlex_index."""
+        position = np.empty(len(self), dtype=np.int64)
+        position[self.grlex_index] = np.arange(len(self))
+        return _frozen(position)
 
     @cached_property
     def ordered_terms(self) -> np.ndarray:
@@ -192,23 +239,25 @@ class DesignPoly:
     def mirror(self, s: int) -> "DesignPoly":
         """Multiply by monomial s: reflect along every direction present in s."""
         check_monomial(s, self.dim)
-        return DesignPoly(self.dim, frozenset(t ^ s for t in self.terms))
+        return DesignPoly(self.dim, np.sort(self.sorted_terms ^ s, kind="stable"))
 
     def scalar(self, other: "DesignPoly") -> int:
         """Scalar product = size of the intersection of the two vertex sets."""
         self._require_same_dim(other)
-        return len(self.terms & other.terms)
+        _, repeats = _merge(self.sorted_terms, other.sorted_terms)
+        return int(np.count_nonzero(repeats))
 
     def union_disjoint(self, other: "DesignPoly") -> "DesignPoly":
         """Sum in 0/1 semantics; overlapping terms would leave K_d, so they are an error."""
         self._require_same_dim(other)
-        overlap = self.terms & other.terms
-        if overlap:
+        merged, repeats = _merge(self.sorted_terms, other.sorted_terms)
+        if repeats.any():
+            overlap = merged[1:][repeats]
             raise ValueError(
                 f"designs overlap on {len(overlap)} term(s), e.g. "
-                f"{mono_name(next(iter(overlap)))}"
+                f"{mono_name(int(overlap[0]))}"
             )
-        return DesignPoly(self.dim, self.terms | other.terms)
+        return DesignPoly(self.dim, merged)
 
     # -- graph quantities --------------------------------------------------
 
@@ -228,13 +277,15 @@ class DesignPoly:
         """All monomials of Q_dim not in this design."""
         if self.dim > MAX_ENUM_DIM:
             raise ValueError(f"refusing to enumerate 2^{self.dim} vertices")
-        return DesignPoly(self.dim, frozenset(range(1 << self.dim)) - self.terms)
+        absent = np.ones(1 << self.dim, dtype=bool)
+        absent[self.sorted_terms] = False
+        return DesignPoly(self.dim, np.flatnonzero(absent).astype(np.int64, copy=False))
 
     def permute(self, perm: Sequence[int]) -> "DesignPoly":
         """Relabel directions: bit i moves to position perm[i]-1 (perm is 1-based)."""
         if sorted(perm) != list(range(1, self.dim + 1)):
             raise ValueError(f"not a permutation of 1..{self.dim}: {list(perm)!r}")
-        values = np.fromiter(self.terms, dtype=np.int64, count=len(self.terms))
+        values = self.sorted_terms.copy()
         shifts = np.arange(self.dim, dtype=np.int64)
         targets = np.asarray(perm, dtype=np.int64) - 1
         step = max(1, BLOCK_CELLS // self.dim)
@@ -242,19 +293,19 @@ class DesignPoly:
             block = values[start:start + step, None]
             # distinct powers of two, so the sum is their bitwise or
             values[start:start + step] = (((block >> shifts) & 1) << targets).sum(axis=1)
-        return DesignPoly(self.dim, frozenset(values.tolist()))
+        return DesignPoly(self.dim, np.sort(values, kind="stable"))
 
     def shift(self, k: int, new_dim: int) -> "DesignPoly":
         """Rename every variable index i to i+k, in ambient dimension new_dim."""
         if k < 0:
             raise ValueError("shift must be non-negative")
         check_dim(new_dim)
-        top = max((t.bit_length() for t in self.terms), default=0)
+        top = int(self.sorted_terms[-1]).bit_length() if len(self) else 0
         if top + k > new_dim:
             raise ValueError(
                 f"shift by {k} pushes variable X{top} beyond dimension {new_dim}"
             )
-        return DesignPoly(new_dim, frozenset(t << k for t in self.terms))
+        return DesignPoly(new_dim, self.sorted_terms << k)
 
     def edges(self):
         """All (lower, upper, direction) edges, direction 1-based; lower has bit unset.
@@ -271,12 +322,35 @@ class DesignPoly:
             m = self.is_equitable()
             if m is None:
                 raise ValueError(f"design is not equitable: profile {self.edge_profile()}")
-        if not self.terms:
+        if not len(self):
             raise ValueError("economy is undefined for the empty design")
-        return Fraction(m * self.dim, len(self.terms))
+        return Fraction(m * self.dim, len(self))
 
 
 # -- serialization ----------------------------------------------------------
+
+def format_words(values: np.ndarray, dim: int) -> list:
+    """mono_str of every int64 term in `values` (all in Q_dim), in one array pass."""
+    octets = values.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :dim]
+    text = (bits + ord("0")).tobytes().decode("ascii")
+    return [text[k:k + dim] for k in range(0, len(text), dim)]
+
+
+def _parse_words(words: list, text: str, d) -> Optional[np.ndarray]:
+    """mono_parse of every word, as one int64 array in the words' order, given
+    their concatenation `text`; None unless d is a dimension and every word is
+    a binary word of length d."""
+    if (not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= MAX_DIM
+            or set(map(len, words)) - {d} or not text.isascii()):
+        return None
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, d)
+    if np.any((chars | 1) != ord("1")):  # only '0' and '1' survive setting bit 0
+        return None
+    bits = np.zeros((len(words), 64), dtype=np.uint8)
+    bits[:, :d] = chars - ord("0")
+    return np.packbits(bits, axis=1, bitorder="little").view("<i8").ravel()
+
 
 def design_to_dict(design: DesignPoly, family: Optional[str] = None,
                    m: object = "auto") -> dict:
@@ -287,7 +361,7 @@ def design_to_dict(design: DesignPoly, family: Optional[str] = None,
         "d": design.dim,
         "m": m,
         "family": family,
-        "terms": [mono_str(t, design.dim) for t in design.ordered_terms.tolist()],
+        "terms": format_words(design.ordered_terms, design.dim),
     }
 
 
@@ -297,16 +371,29 @@ def design_from_dict(obj: dict) -> DesignPoly:
         words = obj["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed design object: missing {exc}") from exc
-    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-        raise ValueError("malformed design object: 'terms' must be a list of binary words")
-    terms = []
-    for w in words:
-        if len(w) != d:
-            raise ValueError(f"term {w!r} has length {len(w)}, expected {d}")
-        terms.append(mono_parse(w))
-    if len(set(terms)) != len(terms):
+    try:
+        if not isinstance(words, list):
+            raise TypeError
+        text = "".join(words)  # TypeError unless every word is a string
+    except TypeError:
+        raise ValueError("malformed design object: 'terms' must be a list of "
+                         "binary words") from None
+    values = _parse_words(words, text, d)
+    if values is None:
+        # a word or d is bad: parse word by word, which reports the first
+        # fault in order (a word's length, a word, a duplicate, then d)
+        terms = []
+        for w in words:
+            if len(w) != d:
+                raise ValueError(f"term {w!r} has length {len(w)}, expected {d}")
+            terms.append(mono_parse(w))
+        if len(set(words)) != len(words):
+            raise ValueError("malformed design object: duplicate terms")
+        return DesignPoly.of(d, terms)
+    values = np.sort(values, kind="stable")
+    if np.any(values[1:] == values[:-1]):
         raise ValueError("malformed design object: duplicate terms")
-    return DesignPoly.of(d, terms)
+    return DesignPoly(d, values)
 
 
 def dumps_design(design: DesignPoly, family: Optional[str] = None,
@@ -322,13 +409,12 @@ def loads_design(text: str) -> tuple:
 
 def to_dot(design: DesignPoly, name: str = "design") -> str:
     """Graphviz form: nodes labelled by binary word, edges tagged with their direction."""
+    words = format_words(design.ordered_terms, design.dim)
     lines = [f"graph {name} {{"]
-    for t in design.ordered_terms.tolist():
-        lines.append(f'  "{mono_str(t, design.dim)}";')
-    for lo, hi, direction in design.edges():
-        lines.append(
-            f'  "{mono_str(lo, design.dim)}" -- "{mono_str(hi, design.dim)}" '
-            f'[dir={direction}];'
-        )
+    lines += [f'  "{w}";' for w in words]
+    direction, lower, upper = edge_index(design.sorted_terms, design.dim, design.ordered_terms)
+    lines += [f'  "{words[lo]}" -- "{words[hi]}" [dir={k}];'
+              for lo, hi, k in zip(lower.tolist(), design.grlex_position[upper].tolist(),
+                                   (direction + 1).tolist())]
     lines.append("}")
     return "\n".join(lines) + "\n"

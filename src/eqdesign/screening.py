@@ -235,9 +235,10 @@ def run_screen(config: ScreenConfig,
         f_values = np.asarray(func(rep.points), dtype=float)
         _check_values(f_values, od, f"replicate {j} of {config.r}")
         n_evals += len(rep.points)
+        values = f_values.tolist()  # Python floats: the same arithmetic, without numpy scalars
         for i in range(1, d + 1):
             inc = build_incidence(od, i)
-            samples[i - 1].append(elementary_effects(inc, f_values, config.delta))
+            samples[i - 1].append(elementary_effects(inc, values, config.delta))
         replicates.append(ReplicateMeta(
             reflection=mono_str(s, d), permutation=perm,
             base_point=base, delta=config.delta,

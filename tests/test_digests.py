@@ -1,20 +1,27 @@
-"""Byte-identity gate: SHA-256 digests of screening reports and of the pairs
-and JSON outputs of two d=62 designs.
+"""Byte-identity gate: SHA-256 digests of screening reports, of the pairs,
+JSON and `verify` outputs of two d=62 designs, of the DOT form of one, and
+of a mid-scale `economy` table.
 
-The digests were recorded before the vertex-array refactor of `poly` and
-`effects`; any change to a float, a row order or a formatting detail fails
-here.  Re-record (only for an intended change of output) with
+The screening, pairs and JSON digests were recorded before the vertex-array
+refactor of `poly` and `effects`; the economy, verify and DOT digests before
+designs were built on arrays.  Any change to a float, a row order or a
+formatting detail fails here.  Re-record (only for an intended change of output) with
 
     PYTHONPATH=src python3 tests/test_digests.py
 """
+import contextlib
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eqdesign import cli
 from eqdesign.effects import order_vertices, pairs_csv
 from eqdesign.families import gen_H, gen_M
-from eqdesign.poly import dumps_design
+from eqdesign.poly import dumps_design, to_dot
 from eqdesign.screening import ScreenConfig, run_screen
 
 PAPER_CONFIGS = (("M", 4, 3), ("H", 4, 3), ("G", 4, 3), ("path", 1, 12))
@@ -38,14 +45,27 @@ def screen_cases():
             d=30, m=m, r=r, family=family, seed=11), mid_function
 
 
+def cli_stdout(argv) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert cli.main(argv) == 0
+    return buffer.getvalue()
+
+
 def digests():
     out = {}
     for name, cfg, func in screen_cases():
         report = run_screen(cfg, func)
         out[name] = report.to_csv() + report.metadata_json()
-    for family, design in (("H", gen_H(62, 100)), ("M", gen_M(62, 64))):
-        out[f"pairs-{family}-62"] = pairs_csv(order_vertices(design))
-        out[f"json-{family}-62"] = dumps_design(design, family=family)
+    with tempfile.TemporaryDirectory() as tmp:
+        for family, design in (("H", gen_H(62, 100)), ("M", gen_M(62, 64))):
+            out[f"pairs-{family}-62"] = pairs_csv(order_vertices(design))
+            out[f"json-{family}-62"] = dumps_design(design, family=family)
+            path = Path(tmp) / f"{family}.json"
+            path.write_text(out[f"json-{family}-62"])
+            out[f"verify-{family}-62"] = cli_stdout(["verify", "--in", str(path)])
+    out["dot-H-62"] = to_dot(gen_H(62, 100))
+    out["economy-30-40"] = cli_stdout(["economy", "--d", "30", "--m-max", "40"])
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}
 
 
@@ -69,6 +89,10 @@ EXPECTED = {
     'json-H-62': 'cafc1f3da5b7b0714e29b15b3838b927e8ac2e9aabf12590b19f3f4ea6522e95',
     'pairs-M-62': 'ec5b713e9a472c84c206868250ac4a99e445454c54291fcfadfa0639e7bdcb7e',
     'json-M-62': '3aabb33a946a0ca3d205fa6d7b1cc82ac8ef57ce01d5713b8c1bda391863ae0c',
+    'verify-H-62': '031442c48a413844dd609f91b2bdc1738308c9e7b1bcab3eeacfe1884c9a5bab',
+    'verify-M-62': '2663e7d291148a533e7f6d549caf9149e1c53d026d05f11a4d76e7e4f6e44070',
+    'dot-H-62': '35d6066aad51ea2e7f2d8e2c8626470128ed2d2b9ac71c432655ed30a5b43952',
+    'economy-30-40': '1dd9ae59c2cb323507a70954bc7908cb3575eba1b6de8f6c65459d7673fb1a29',
 }
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from eqdesign.families import (FAMILIES, MAX_DESIGN_VERTICES, alpha_h,
+from eqdesign import families
+from eqdesign.families import (CACHE_SIZE, FAMILIES, MAX_DESIGN_VERTICES, alpha_h,
                                economy_limits, gen_G, gen_H, gen_M, gen_path,
                                generate, leaf_counts, min_size_oracle,
                                predicted_size, predicted_size_G,
@@ -284,3 +285,26 @@ def test_designs_connected():
                 checked += 1
     assert checked > 500
     assert not _connected(DesignPoly.of(3, [0, 0b011]))
+
+
+def test_caches_are_bounded():
+    caches = (gen_G, gen_H, families._gen_H2)
+    for cache in caches:
+        assert cache.cache_info().maxsize == CACHE_SIZE
+        cache.cache_clear()
+    # an economy table at d=30 up to m=200 fits in the caches whole: nothing
+    # built is evicted, and the benchmark's hit counts hold
+    for m in range(1, 201):
+        for family in ("G", "H", "M"):
+            try:
+                generate(family, 30, m)
+            except ValueError:
+                pass  # outside the family's domain
+    infos = [cache.cache_info() for cache in caches]
+    assert [info.hits for info in infos] == [385, 1021, 14]
+    assert [info.misses - info.currsize for info in infos] == [0, 0, 0]
+    for m in range(1, 1 << 11):
+        gen_G(12, m)
+    assert gen_G.cache_info().currsize == CACHE_SIZE
+    for cache in caches:
+        cache.cache_clear()

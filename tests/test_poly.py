@@ -157,6 +157,39 @@ def test_design_from_dict_validation():
     assert design_from_dict({"d": 3, "terms": ["000"]}).terms == frozenset([0])
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"d": 3, "terms": ["0\u06610"]}, "not a binary word: '0\u06610'"),
+    ({"d": 3, "terms": ["000", "01"]}, "term '01' has length 2, expected 3"),
+    ({"d": 3, "terms": ["0a0", "01"]}, "not a binary word: '0a0'"),
+    ({"d": 3, "terms": ["01", "0a0"]}, "term '01' has length 2, expected 3"),
+    ({"d": 3, "terms": ["000", "100", "000"]}, "malformed design object: duplicate terms"),
+    ({"d": 62, "terms": ["1" * 62, "0" * 62, "1" * 62]},
+     "malformed design object: duplicate terms"),
+    ({"d": True, "terms": ["1"]}, "ambient dimension must be in [1, 62], got True"),
+    ({"d": True, "terms": ["1", "1"]}, "malformed design object: duplicate terms"),
+    ({"d": "3", "terms": ["010"]}, "term '010' has length 3, expected 3"),
+    ({"d": "3", "terms": []}, "ambient dimension must be in [1, 62], got '3'"),
+    ({"d": 3.0, "terms": ["010"]}, "ambient dimension must be in [1, 62], got 3.0"),
+    ({"d": None, "terms": ["010"]}, "term '010' has length 3, expected None"),
+    ({"d": 63, "terms": ["1" * 63]}, "ambient dimension must be in [1, 62], got 63"),
+    ({"d": 0, "terms": [""]}, "not a binary word: ''"),
+    ({"d": 3, "terms": ["000", 5]},
+     "malformed design object: 'terms' must be a list of binary words"),
+    ({"d": 3, "terms": "000"},
+     "malformed design object: 'terms' must be a list of binary words"),
+])
+def test_design_from_dict_messages(obj, message):
+    with pytest.raises(ValueError) as excinfo:
+        design_from_dict(obj)
+    assert str(excinfo.value) == message
+
+
+def test_design_from_dict_reads_full_width_words():
+    words = ["0" * 62, "1" + "0" * 61, "0" * 61 + "1", "1" * 62]
+    design = design_from_dict({"d": 62, "terms": words})
+    assert design.sorted_terms.tolist() == [0, 1, 1 << 61, (1 << 62) - 1]
+
+
 def test_dot_export():
     square = DesignPoly.of(2, [0b00, 0b01, 0b10, 0b11])
     dot = to_dot(square, name="sq")

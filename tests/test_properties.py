@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from eqdesign.effects import build_incidence, embed, elementary_effects, \
     order_vertices, randomize
 from eqdesign.families import FAMILIES, gen_G, gen_H, gen_M, gen_path, q_min
-from eqdesign.poly import DesignPoly, loads_design, mono_str
+from eqdesign.poly import (DesignPoly, dumps_design, format_words, loads_design,
+                           mono_name, mono_str)
 from eqdesign.screening import ScreenConfig, config_from_dict
 
 from conftest import (brute_direction_pairs, brute_edge_profile, design_polys,
@@ -264,3 +265,137 @@ def test_blocked_pass_matches_references_across_blocks():
     assert vertices == grlex_reference(terms)
     for i in range(1, 63):
         assert build_incidence(od, i).pairs == incidence_reference(vertices, i)
+
+
+# -- construction on the int64 array, against frozenset references ----------
+
+def assert_canonical(design):
+    """The one state of a design: a strictly increasing, read-only int64 array."""
+    values = design.sorted_terms
+    assert values.dtype == np.int64 and values.ndim == 1
+    assert not values.flags.writeable
+    assert values.tolist() == sorted(set(values.tolist()))
+
+
+@st.composite
+def wide_words(draw, dim):
+    """A monomial of Q_dim with the top variable X_dim set half the time."""
+    word = draw(st.integers(0, (1 << dim) - 1))
+    return word | (1 << (dim - 1)) if draw(st.booleans()) else word
+
+
+@given(wide_design_polys(), st.data())
+def test_wide_mirror_matches_set(p, data):
+    s = data.draw(wide_words(p.dim))
+    mirrored = p.mirror(s)
+    assert_canonical(mirrored)
+    assert mirrored.terms == {t ^ s for t in p.terms}
+
+
+@given(wide_design_polys(), st.data())
+def test_wide_union_matches_set(p, data):
+    # q is a mirror image of p; reflecting by the XOR of two terms of p makes
+    # them meet, so both the disjoint case and the overlap message are drawn
+    terms = st.sampled_from(sorted(p.terms))
+    s = data.draw(wide_words(p.dim) | st.builds(lambda a, b: a ^ b, terms, terms))
+    q = DesignPoly.of(p.dim, {t ^ s for t in p.terms})
+    overlap = p.terms & q.terms
+    if overlap:
+        message = (f"designs overlap on {len(overlap)} term(s), "
+                   f"e.g. {mono_name(min(overlap))}")
+        with pytest.raises(ValueError) as excinfo:
+            p.union_disjoint(q)
+        assert str(excinfo.value) == message
+    else:
+        union = p.union_disjoint(q)
+        assert_canonical(union)
+        assert union.terms == p.terms | q.terms
+    assert p.scalar(q) == len(overlap)
+
+
+def test_union_reports_a_design_meeting_its_neighbour():
+    p = DesignPoly.of(62, [0, 1 << 61, (1 << 61) | (1 << 60), (1 << 62) - 1])
+    with pytest.raises(ValueError) as excinfo:
+        p.union_disjoint(p.mirror(1 << 60))
+    assert str(excinfo.value) == "designs overlap on 2 term(s), e.g. X62"
+    with pytest.raises(ValueError) as excinfo:
+        p.union_disjoint(p)
+    assert str(excinfo.value) == "designs overlap on 4 term(s), e.g. 1"
+
+
+@given(wide_design_polys(min_size=1), st.data())
+def test_wide_shift_matches_set(p, data):
+    top = max(t.bit_length() for t in p.terms)
+    k = data.draw(st.integers(0, 62 - top))
+    new_dim = data.draw(st.integers(max(top + k, 1), 62))
+    shifted = p.shift(k, new_dim)
+    assert_canonical(shifted)
+    assert shifted.dim == new_dim
+    assert shifted.terms == {t << k for t in p.terms}
+    if top:
+        k = data.draw(st.integers(62 - top + 1, 70))
+        with pytest.raises(ValueError) as excinfo:
+            p.shift(k, 62)
+        assert str(excinfo.value) == f"shift by {k} pushes variable X{top} beyond dimension 62"
+
+
+@given(wide_design_polys(min_size=1), st.data())
+def test_wide_lift_shares_the_array(p, data):
+    top = max(t.bit_length() for t in p.terms)
+    new_dim = data.draw(st.integers(max(top, 1), 62))
+    lifted = DesignPoly(new_dim, p.sorted_terms)
+    assert lifted.terms == p.terms
+    assert lifted.sorted_terms is p.sorted_terms
+    if top > 1:
+        with pytest.raises(ValueError):
+            DesignPoly(top - 1, p.sorted_terms)
+
+
+@given(design_polys(max_dim=10))
+def test_complement_matches_set(p):
+    comp = p.complement()
+    assert_canonical(comp)
+    assert comp.terms == frozenset(range(1 << p.dim)) - p.terms
+    assert comp.complement() == p
+
+
+def test_complement_refuses_wide_designs():
+    with pytest.raises(ValueError, match="refusing"):
+        DesignPoly.of(62, [1 << 61]).complement()
+
+
+@given(wide_design_polys())
+def test_wide_words_round_trip(p):
+    words = format_words(p.ordered_terms, p.dim)
+    assert words == [mono_str(t, p.dim) for t in p.ordered_terms.tolist()]
+    design, _ = loads_design(dumps_design(p))
+    assert design == p
+    assert_canonical(design)
+
+
+@pytest.mark.parametrize("terms", [[1 << 63], [2 ** 64 + 5], [-1], [0, -(1 << 63)],
+                                   [1 << 62], [3, 1 << 62, 5], [1, 1 << 63]])
+def test_of_rejects_terms_outside_q62(terms):
+    bad = next(t for t in terms if t < 0 or t >> 62)
+    with pytest.raises(ValueError) as excinfo:
+        DesignPoly.of(62, terms)
+    assert str(excinfo.value) == f"monomial {bad:#x} uses variables beyond dimension 62"
+
+
+@pytest.mark.parametrize("terms", [[1.5], [0, 2.0], [3, "a"]])
+def test_of_rejects_terms_that_are_not_ints(terms):
+    with pytest.raises(TypeError):
+        DesignPoly.of(4, terms)
+
+
+@pytest.mark.parametrize("terms", [np.array([1, 0]), np.array([0, 0]), np.array([0.0]),
+                                   np.array([[0, 1]]), [0, 1], (0, 1)])
+def test_constructor_takes_only_a_strictly_increasing_int64_array(terms):
+    with pytest.raises(ValueError, match="strictly increasing int64 array"):
+        DesignPoly(3, terms)
+
+
+def test_of_sorts_and_drops_repeats():
+    design = DesignPoly.of(3, (t for t in [5, 1, 5, 0, 1]))
+    assert design == DesignPoly(3, np.array([0, 1, 5]))
+    assert_canonical(design)
