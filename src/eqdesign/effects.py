@@ -2,20 +2,22 @@
 incidence, randomized replication, geometric embedding, and the mu/mu*/sigma
 statistics pooled over replicates.
 
-Ordering, incidence and embedding work on the design's int64 vertex arrays;
-the effects and their statistics stay in Python floats, summed in a fixed
-order so that reports are reproducible to the last bit.
+Every step works on arrays.  Ordering, incidence and embedding use the
+design's int64 vertex arrays, and a randomized replicate reads its incidence
+off the edges it inherits from its base design.  An effect is a gather from
+the function values; the statistics are passes over all directions at once,
+summed left to right so that reports are reproducible to the last bit.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .poly import DesignPoly, edge_index, format_words
+from .poly import DesignPoly, _frozen, format_words
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,22 +40,24 @@ class OrderedDesign:
 
     @cached_property
     def all_pairs(self) -> tuple:
-        """(pairs, starts): every direction's (row, col, sign) pairs, by direction
-        then row, and the offset in pairs at which each direction starts, plus
-        the end (d+1 offsets).
+        """(rows, cols, starts): every direction's pairs as two read-only int64
+        arrays of 0-based positions in `vertices`, by direction then row, and
+        the list of d+1 offsets at which each direction starts, plus the end.
 
-        An edge's upper endpoint has one more degree than its lower one, so it
-        comes later in graded-lex order: row is always the lower endpoint and
-        every sign is +1.
+        They are read off the design's edges, which a randomized replicate
+        inherits from its base design.  An edge's upper endpoint has one more
+        degree than its lower one, so it comes later in graded-lex order: row
+        is always the lower endpoint and col the upper.
         """
         design = self.design
-        direction, lower, upper = edge_index(design.sorted_terms, design.dim, self.vertices)
-        # edges come by row; a stable sort by direction keeps rows in order
-        order = np.argsort(direction.astype(np.uint8), kind="stable")
-        rows = (lower[order] + 1).tolist()
-        cols = (design.grlex_position[upper[order]] + 1).tolist()
-        starts = np.searchsorted(direction[order], np.arange(design.dim + 1))
-        return [(row, col, 1) for row, col in zip(rows, cols)], starts.tolist()
+        direction, lower, upper = design.edge_arrays
+        rows = design.grlex_position[lower]
+        # by direction, then row: one sort of a combined key (rows < len(design))
+        order = np.argsort(direction * len(design) + rows, kind="stable")
+        starts = np.zeros(design.dim + 1, dtype=np.int64)
+        np.cumsum(np.bincount(direction, minlength=design.dim), out=starts[1:])
+        return (_frozen(rows[order]), _frozen(design.grlex_position[upper[order]]),
+                starts.tolist())
 
 
 def order_vertices(design: DesignPoly) -> OrderedDesign:
@@ -62,38 +66,49 @@ def order_vertices(design: DesignPoly) -> OrderedDesign:
     return OrderedDesign(design=design, vertices=design.ordered_terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectIncidence:
-    """Direction-i vertex pairs; pairs are (row, col, sign), 1-based, row < col.
+    """Direction-i vertex pairs: pair k joins rows[k] < cols[k], 0-based
+    positions in vertex order of its lower and upper endpoint (read-only
+    int64 views into the OrderedDesign's all_pairs).
 
+    `pairs` lists them as 1-based (row, col, sign) tuples, built on request.
     Sign is +1 when the row vertex sits at coordinate 0 of direction i, so a
-    signed difference sign*(f[col] - f[row]) is always upper-minus-lower.
+    signed difference sign*(f[col] - f[row]) is upper-minus-lower; in
+    graded-lex order that is every pair.
     """
 
     direction: int
-    pairs: tuple  # of (row, col, sign)
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @cached_property
+    def pairs(self) -> tuple:
+        return tuple(zip((self.rows + 1).tolist(), (self.cols + 1).tolist(),
+                         itertools.repeat(1)))
 
 
 def build_incidence(od: OrderedDesign, direction: int) -> EffectIncidence:
     """Direction `direction`'s pairs, sliced from the OrderedDesign's all-direction pass."""
     if not 1 <= direction <= od.dim:
         raise ValueError(f"direction must be in 1..{od.dim}, got {direction}")
-    pairs, starts = od.all_pairs
-    return EffectIncidence(direction=direction,
-                           pairs=tuple(pairs[starts[direction - 1]:starts[direction]]))
+    rows, cols, starts = od.all_pairs
+    lo, hi = starts[direction - 1], starts[direction]
+    return EffectIncidence(direction=direction, rows=rows[lo:hi], cols=cols[lo:hi])
 
 
 def elementary_effects(inc: EffectIncidence, f_values: Sequence[float],
-                       delta: float) -> List[float]:
-    """One finite difference per pair: (f(upper endpoint) - f(lower endpoint)) / delta."""
+                       delta: float) -> np.ndarray:
+    """One finite difference per pair, (f(upper endpoint) - f(lower endpoint)) / delta,
+    as a float array gathered from f_values (one value per vertex, in vertex order)."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    n = len(f_values)
-    for row, col, _ in inc.pairs:
-        if col > n:
-            raise ValueError(f"pair index {col} exceeds {n} function values")
-    return [float(sign * (f_values[col - 1] - f_values[row - 1]) / delta)
-            for row, col, sign in inc.pairs]
+    f = np.asarray(f_values, dtype=float)
+    try:
+        return (f[inc.cols] - f[inc.rows]) / delta
+    except IndexError:
+        raise ValueError(f"pair index {int(inc.cols.max()) + 1} exceeds {len(f)} "
+                         "function values") from None
 
 
 def randomize(design: DesignPoly, rng: np.random.Generator):
@@ -104,6 +119,7 @@ def randomize(design: DesignPoly, rng: np.random.Generator):
     d = design.dim
     s = int(rng.integers(0, 1 << d))
     perm = tuple(int(p) + 1 for p in rng.permutation(d))
+    design.edge_arrays  # computed once per design; every replicate inherits them
     return design.mirror(s).permute(perm), s, perm
 
 
@@ -155,12 +171,33 @@ class FactorStats:
     mu: tuple
     mu_star: tuple
     sigma: tuple
-    effects: tuple  # effects[i][j] = list of direction-(i+1) effects in replicate j
+    # read-only float (d, r, m) array: effects[i, j] are the direction-(i+1)
+    # effects of replicate j+1
+    effects: np.ndarray = field(compare=False)
+
+
+def _total(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right from 0.0 as a plain loop
+    adds them: no pairwise (numpy's sum) or compensated (Python 3.12's sum)
+    summation, so reports do not depend on either version.  Adding 0.0 at
+    the end turns a sum of -0.0s into the 0.0 that a loop from 0.0 gives."""
+    return np.add.accumulate(x, axis=-1)[..., -1] + 0.0
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """x ** 2 as Python computes it for a float, with pow(x, 2.0): x * x
+    (numpy's x ** 2, np.square and np.power's fast path) can differ from it
+    in the last bit."""
+    return np.float_power(x, 2.0)
 
 
 def pooled_stats(samples: Sequence[Sequence[Sequence[float]]],
                  estimator: str = "pooled") -> FactorStats:
     """Aggregate effects[direction][replicate] into mu, mu*, sigma per direction.
+
+    `samples` is anything numpy reads as a (d, r, m) float array: the same
+    number m of effects in every direction and replicate, as an equitable
+    design gives.  Every statistic is one pass over all directions.
 
     estimator="pooled": sample standard deviation over all m*r effects.
     estimator="between": one-way decomposition, standard deviation of the
@@ -169,37 +206,40 @@ def pooled_stats(samples: Sequence[Sequence[Sequence[float]]],
     """
     if estimator not in ("pooled", "between"):
         raise ValueError(f"unknown sigma estimator {estimator!r}")
-    mu, mu_star, sigma = [], [], []
-    for per_direction in samples:
-        flat = [e for rep in per_direction for e in rep]
-        if len(flat) < 2:
-            raise ValueError("need at least 2 effect samples per direction")
-        mean = sum(flat) / len(flat)
-        mu.append(mean)
-        mu_star.append(sum(map(abs, flat)) / len(flat))
-        if estimator == "pooled":
-            var = sum((e - mean) ** 2 for e in flat) / (len(flat) - 1)
-        else:
-            means = [sum(rep) / len(rep) for rep in per_direction if rep]
-            if len(means) < 2:
-                raise ValueError("between-replicate estimator needs >= 2 replicates")
-            grand = sum(means) / len(means)
-            var = sum((mj - grand) ** 2 for mj in means) / (len(means) - 1)
-        sigma.append(math.sqrt(var))
-    return FactorStats(
-        mu=tuple(mu), mu_star=tuple(mu_star), sigma=tuple(sigma),
-        effects=tuple(tuple(list(rep) for rep in per_direction) for per_direction in samples),
-    )
+    try:
+        effects = np.array(samples, dtype=float)
+        d, r, m = effects.shape
+    except ValueError:  # ragged, or not three levels deep
+        raise ValueError("need the same number of effects in every direction "
+                         "and replicate") from None
+    n = r * m
+    if n < 2:
+        raise ValueError("need at least 2 effect samples per direction")
+    flat = effects.reshape(d, n)
+    mean = _total(flat) / n
+    mu_star = _total(np.abs(flat)) / n
+    if estimator == "pooled":
+        var = _total(_square(flat - mean[:, None])) / (n - 1)
+    else:
+        if r < 2:
+            raise ValueError("between-replicate estimator needs >= 2 replicates")
+        means = _total(effects) / m
+        var = _total(_square(means - (_total(means) / r)[:, None])) / (r - 1)
+    return FactorStats(mu=tuple(mean.tolist()), mu_star=tuple(mu_star.tolist()),
+                       sigma=tuple(np.sqrt(var).tolist()), effects=_frozen(effects))
 
 
 def pairs_csv(od: OrderedDesign) -> str:
-    """Pair listing for all directions: direction,row,col,sign,lower_vertex,upper_vertex."""
-    lines = ["direction,row,col,sign,lower_vertex,upper_vertex"]
-    d = od.dim
-    words = format_words(od.vertices, d)
-    for i in range(1, d + 1):
+    """Pair listing for all directions: direction,row,col,sign,lower_vertex,upper_vertex.
+
+    Each direction's rows are joined on their own, so that only one
+    direction's line strings are alive next to the text.
+    """
+    words = format_words(od.vertices, od.dim)
+    chunks = ["direction,row,col,sign,lower_vertex,upper_vertex\n"]
+    for i in range(1, od.dim + 1):
         inc = build_incidence(od, i)
         # every sign is +1: the row vertex is the lower endpoint (see all_pairs)
-        for row, col, sign in inc.pairs:
-            lines.append(f"{i},{row},{col},{sign:+d},{words[row - 1]},{words[col - 1]}")
-    return "\n".join(lines) + "\n"
+        chunks.append("".join([f"{i},{r + 1},{c + 1},+1,{words[r]},{words[c]}\n"
+                               for r, c in zip(inc.rows.tolist(), inc.cols.tolist())]))
+    return "".join(chunks)

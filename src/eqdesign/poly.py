@@ -11,7 +11,9 @@ Since d <= 62, every monomial fits in an int64, and a design is one strictly
 increasing int64 array of its monomials.  Every operation is an array pass:
 mirror is an XOR and a sort, union a merge, shift a left shift, relabelling
 a bit gather, and the edge counts, graded-lex order and binary-word
-(de)serialization work on the whole array at once.
+(de)serialization work on the whole array at once.  Mirror and relabelling
+are automorphisms of Q_d, so once a design's edges are found, the designs
+they make inherit them without a new search.
 """
 from __future__ import annotations
 
@@ -96,33 +98,37 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def edge_index(values: np.ndarray, dim: int, scan: Optional[np.ndarray] = None) -> tuple:
+def edge_index(values: np.ndarray, dim: int) -> tuple:
     """All edges among the value-sorted int64 vertices `values` of Q_dim.
 
-    The lower endpoints (bit unset) are looked up in `scan`, a reordering of
-    `values` that defaults to `values` itself.  Returns (direction, lower,
-    upper) arrays: each edge's 0-based direction, the position of its lower
-    endpoint in `scan` and that of its upper endpoint in `values`; edges come
-    by lower endpoint, then direction.  Only the (vertex, direction) cells
-    with the bit unset are searched, BLOCK_CELLS cells at a time.
+    Returns (direction, lower, upper) arrays: each edge's 0-based direction
+    and the positions in `values` of its endpoints, the lower one having the
+    bit unset; edges come by direction, then lower endpoint.
+
+    For direction i, the vertices with bit i unset and those with it set,
+    bit i cleared, are two sorted runs, and the edges are their common
+    keys: one searchsorted of the second run into the first.  Directions go
+    in blocks of about BLOCK_CELLS cells, each row tagged above bit dim with
+    its place in the block so that the block's runs stay sorted.
     """
-    scan = values if scan is None else scan
     n = len(values)
-    directions = np.arange(dim, dtype=np.int64)
-    bits = np.left_shift(1, directions)
-    step = max(1, BLOCK_CELLS // dim)
+    step = max(1, min(BLOCK_CELLS // max(n, 1), 1 << (63 - dim)))
     parts = []
-    for start in range(0, n, step):
-        block = scan[start:start + step, None]
-        open_cells = (block & bits) == 0
-        upper = (block | bits)[open_cells]
-        # the last term <= upper; upper exceeds a term, so pos >= 0
-        pos = np.searchsorted(values, upper, side="right") - 1
-        hit = values[pos] == upper
-        shape = open_cells.shape
-        direction = np.broadcast_to(directions, shape)[open_cells]
-        vertex = np.broadcast_to(np.arange(start, start + shape[0])[:, None], shape)[open_cells]
-        parts.append((direction[hit], vertex[hit], pos[hit]))
+    for first in range(0, dim, step):
+        directions = np.arange(first, min(first + step, dim), dtype=np.int64)
+        keys = values & ~np.left_shift(1, directions)[:, None]
+        upper_cells = np.flatnonzero(keys != values)
+        lower_cells = np.flatnonzero(keys == values)
+        keys |= np.arange(len(directions))[:, None] << dim
+        keys = keys.ravel()
+        if not len(lower_cells):
+            continue
+        below, above = keys[lower_cells], keys[upper_cells]
+        pos = np.searchsorted(below, above)
+        pos[pos == len(below)] = 0  # past the last key: no match, any valid slot
+        hit = below[pos] == above
+        row, lower = np.divmod(lower_cells[pos[hit]], n)
+        parts.append((directions[row], lower, upper_cells[hit] - row * n))
     if not parts:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty
@@ -230,6 +236,42 @@ class DesignPoly:
         """Terms in canonical graded-lex order (degree, then integer value), as int64."""
         return _frozen(self.sorted_terms[self.grlex_index])
 
+    @cached_property
+    def edge_arrays(self) -> tuple:
+        """(direction, lower, upper): every edge's 0-based direction and the
+        positions in sorted_terms of its endpoints, the lower one having the
+        bit unset, as read-only int64 arrays in no fixed order.
+
+        Computed by edge_index on first request, or carried into the result
+        of mirror and permute when the design they start from has them.
+        """
+        return tuple(map(_frozen, edge_index(self.sorted_terms, self.dim)))
+
+    def _image(self, values: np.ndarray, flips: int = 0,
+               directions: Optional[np.ndarray] = None) -> "DesignPoly":
+        """The design on `values`, where values[k] is the image of
+        sorted_terms[k] under an automorphism of Q_dim: a reflection by the
+        monomial `flips`, then the relabelling of direction i as
+        directions[i].  Once this design's edges are computed, the image
+        inherits them: endpoints swap on the reflected directions and every
+        position follows the sort.  Otherwise it is a plain sort.
+        """
+        if "edge_arrays" not in self.__dict__:
+            return DesignPoly(self.dim, np.sort(values, kind="stable"))
+        order = np.argsort(values, kind="stable")
+        image = DesignPoly(self.dim, values[order])
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        direction, lower, upper = self.edge_arrays
+        if flips:
+            swap = ((flips >> direction) & 1).astype(bool)
+            lower, upper = np.where(swap, upper, lower), np.where(swap, lower, upper)
+        if directions is not None:
+            direction = directions[direction]
+        image.__dict__["edge_arrays"] = tuple(map(_frozen, (direction, position[lower],
+                                                            position[upper])))
+        return image
+
     def _require_same_dim(self, other: "DesignPoly") -> None:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dimensions differ: {self.dim} vs {other.dim}")
@@ -239,7 +281,7 @@ class DesignPoly:
     def mirror(self, s: int) -> "DesignPoly":
         """Multiply by monomial s: reflect along every direction present in s."""
         check_monomial(s, self.dim)
-        return DesignPoly(self.dim, np.sort(self.sorted_terms ^ s, kind="stable"))
+        return self._image(self.sorted_terms ^ s, flips=s)
 
     def scalar(self, other: "DesignPoly") -> int:
         """Scalar product = size of the intersection of the two vertex sets."""
@@ -266,7 +308,7 @@ class DesignPoly:
 
         Each edge is counted once, from its lower endpoint.
         """
-        direction, _, _ = edge_index(self.sorted_terms, self.dim)
+        direction, _, _ = self.edge_arrays
         return tuple(np.bincount(direction, minlength=self.dim).tolist())
 
     def is_equitable(self) -> Optional[int]:
@@ -293,7 +335,7 @@ class DesignPoly:
             block = values[start:start + step, None]
             # distinct powers of two, so the sum is their bitwise or
             values[start:start + step] = (((block >> shifts) & 1) << targets).sum(axis=1)
-        return DesignPoly(self.dim, np.sort(values, kind="stable"))
+        return self._image(values, directions=targets)
 
     def shift(self, k: int, new_dim: int) -> "DesignPoly":
         """Rename every variable index i to i+k, in ambient dimension new_dim."""
@@ -312,9 +354,17 @@ class DesignPoly:
 
         Edges come by the lower endpoint's graded-lex position, then direction.
         """
-        direction, lower, upper = edge_index(self.sorted_terms, self.dim, self.ordered_terms)
-        return list(zip(self.ordered_terms[lower].tolist(), self.sorted_terms[upper].tolist(),
+        direction, lower, upper = self._edges_by_lower()
+        return list(zip(self.ordered_terms[lower].tolist(), self.ordered_terms[upper].tolist(),
                         (direction + 1).tolist()))
+
+    def _edges_by_lower(self) -> tuple:
+        """(direction, lower, upper) of every edge, endpoints as graded-lex
+        positions, by lower endpoint, then direction."""
+        direction, lower, upper = self.edge_arrays
+        lower, upper = self.grlex_position[lower], self.grlex_position[upper]
+        order = np.argsort(lower * self.dim + direction, kind="stable")
+        return direction[order], lower[order], upper[order]
 
     def economy(self, m: Optional[int] = None) -> Fraction:
         """Elementary effects per function evaluation, Gamma = m*d/|S|."""
@@ -412,9 +462,8 @@ def to_dot(design: DesignPoly, name: str = "design") -> str:
     words = format_words(design.ordered_terms, design.dim)
     lines = [f"graph {name} {{"]
     lines += [f'  "{w}";' for w in words]
-    direction, lower, upper = edge_index(design.sorted_terms, design.dim, design.ordered_terms)
+    direction, lower, upper = design._edges_by_lower()
     lines += [f'  "{words[lo]}" -- "{words[hi]}" [dir={k}];'
-              for lo, hi, k in zip(lower.tolist(), design.grlex_position[upper].tolist(),
-                                   (direction + 1).tolist())]
+              for lo, hi, k in zip(lower.tolist(), upper.tolist(), (direction + 1).tolist())]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, asdict
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -224,7 +224,7 @@ def run_screen(config: ScreenConfig,
     design = generate(config.family, config.d, config.m)
     rng = np.random.default_rng(config.seed)
     d = config.d
-    samples: List[List[List[float]]] = [[] for _ in range(d)]
+    samples = [[] for _ in range(d)]  # [direction][replicate] effect arrays
     replicates = []
     n_evals = 0
     for j in range(1, config.r + 1):
@@ -235,10 +235,9 @@ def run_screen(config: ScreenConfig,
         f_values = np.asarray(func(rep.points), dtype=float)
         _check_values(f_values, od, f"replicate {j} of {config.r}")
         n_evals += len(rep.points)
-        values = f_values.tolist()  # Python floats: the same arithmetic, without numpy scalars
         for i in range(1, d + 1):
             inc = build_incidence(od, i)
-            samples[i - 1].append(elementary_effects(inc, values, config.delta))
+            samples[i - 1].append(elementary_effects(inc, f_values, config.delta))
         replicates.append(ReplicateMeta(
             reflection=mono_str(s, d), permutation=perm,
             base_point=base, delta=config.delta,

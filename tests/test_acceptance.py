@@ -134,8 +134,8 @@ def test_criterion_7_worked_example():
     assert inc.pairs == ((1, 3, 1), (2, 4, 1))
     f = [1.0, 4.0, 9.0, 16.0, 25.0, 36.0, 49.0]
     delta = 0.5
-    assert elementary_effects(inc, f, delta) == [(9.0 - 1.0) / delta,
-                                                 (16.0 - 4.0) / delta]
+    assert elementary_effects(inc, f, delta).tolist() == [(9.0 - 1.0) / delta,
+                                                          (16.0 - 4.0) / delta]
     print("\nACCEPTANCE 7: PASS — worked-example pairs (1,3,+1), (2,4,+1) and effects")
 
 

@@ -4,7 +4,8 @@ of a mid-scale `economy` table.
 
 The screening, pairs and JSON digests were recorded before the vertex-array
 refactor of `poly` and `effects`; the economy, verify and DOT digests before
-designs were built on arrays.  Any change to a float, a row order or a
+designs were built on arrays; the between-estimator and m=200 screens before
+replicates inherited their base design's edges.  Any change to a float, a row order or a
 formatting detail fails here.  Re-record (only for an intended change of output) with
 
     PYTHONPATH=src python3 tests/test_digests.py
@@ -26,6 +27,11 @@ from eqdesign.screening import ScreenConfig, run_screen
 
 PAPER_CONFIGS = (("M", 4, 3), ("H", 4, 3), ("G", 4, 3), ("path", 1, 12))
 MID_CONFIGS = (("M", 32, 3), ("H", 32, 3), ("G", 64, 2))
+# the between-replicate estimator, at paper and mid scale, and one screen of
+# the benchmark's screen_mid size: (name, d, family, m, r, estimator)
+EXTRA_CONFIGS = (("screen-M-20-4-r3-between", 20, "M", 4, 3, "between"),
+                 ("screen-H-30-32-r3-between", 30, "H", 32, 3, "between"),
+                 ("screen-G-30-200-r4", 30, "G", 200, 4, "pooled"))
 
 
 def mid_function(x):
@@ -43,6 +49,10 @@ def screen_cases():
     for family, m, r in MID_CONFIGS:
         yield f"screen-{family}-30-{m}-r{r}", ScreenConfig(
             d=30, m=m, r=r, family=family, seed=11), mid_function
+    for name, d, family, m, r, estimator in EXTRA_CONFIGS:
+        yield name, ScreenConfig(d=d, m=m, r=r, family=family, seed=11,
+                                 sigma_estimator=estimator), (
+            None if d == 20 else mid_function)
 
 
 def cli_stdout(argv) -> str:
@@ -85,6 +95,9 @@ EXPECTED = {
     'screen-M-30-32-r3': '9e4d9470053b7b3ade0fda13dbd0c114117b10b327665889ed7cb588ab5e2fba',
     'screen-H-30-32-r3': '4d4f6091a35bf7f6e655fc6e9b58e279f91270db4a37be4503f1c4f73be2f192',
     'screen-G-30-64-r2': '18131a39c654cb6d162d5204584d11b70d41a2f161438e92b34bc2aee17d3913',
+    'screen-M-20-4-r3-between': '858dc2208c6c9a0a1973bf048233e81fcfbbbd58f0e6f3abec30fb8ebcfffe13',
+    'screen-H-30-32-r3-between': '59d8d94eda97ae558075f5ee0cd5e4b6109dc7e6fe2ec1ec1488f323da2228bf',
+    'screen-G-30-200-r4': '09c8a3b10769da7baf61cedc91eeb5041c3f5111924a8b94de20aba37dfba1de',
     'pairs-H-62': '7e40f9ed70946889e27523f2575b641c50c7cc6d63c0e43676878e07d4589383',
     'json-H-62': 'cafc1f3da5b7b0714e29b15b3838b927e8ac2e9aabf12590b19f3f4ea6522e95',
     'pairs-M-62': 'ec5b713e9a472c84c206868250ac4a99e445454c54291fcfadfa0639e7bdcb7e',

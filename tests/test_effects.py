@@ -79,7 +79,7 @@ def test_elementary_effects_worked_example():
     inc = build_incidence(od, 2)
     f = [3.0, 1.0, 7.0, 2.0, 5.0, 4.0, 6.0]
     delta = 0.5
-    assert elementary_effects(inc, f, delta) == [(7.0 - 3.0) / 0.5, (2.0 - 1.0) / 0.5]
+    assert elementary_effects(inc, f, delta).tolist() == [(7.0 - 3.0) / 0.5, (2.0 - 1.0) / 0.5]
 
 
 def test_elementary_effects_constant_and_linear():
@@ -92,7 +92,7 @@ def test_elementary_effects_constant_and_linear():
         inc = build_incidence(od, i)
         effects = elementary_effects(inc, f, delta)
         assert all(abs(e - coeffs[i - 1]) < 1e-9 for e in effects)
-        assert elementary_effects(inc, [7.0] * 7, delta) == [0.0, 0.0][: len(effects)]
+        assert elementary_effects(inc, [7.0] * 7, delta).tolist() == [0.0, 0.0][: len(effects)]
 
 
 def test_elementary_effects_validation():
@@ -173,3 +173,71 @@ def test_pairs_csv():
     assert "2,2,4,+1,1000,1100" in lines
     # 2 pairs per direction for an equitable m=2 design
     assert len(lines) == 1 + 4 * 2
+
+
+def loop_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def stats_reference(samples, estimator):
+    """(mu, mu*, sigma) of every direction, summed by explicit left-to-right loops."""
+    mu, mu_star, sigma = [], [], []
+    for per_direction in samples:
+        flat = [e for rep in per_direction for e in rep]
+        mean = loop_sum(flat) / len(flat)
+        mu.append(mean)
+        mu_star.append(loop_sum(abs(e) for e in flat) / len(flat))
+        if estimator == "pooled":
+            var = loop_sum((e - mean) ** 2 for e in flat) / (len(flat) - 1)
+        else:
+            means = [loop_sum(rep) / len(rep) for rep in per_direction]
+            grand = loop_sum(means) / len(means)
+            var = loop_sum((x - grand) ** 2 for x in means) / (len(means) - 1)
+        sigma.append(math.sqrt(var))
+    return tuple(mu), tuple(mu_star), tuple(sigma)
+
+
+@pytest.mark.parametrize("estimator", ["pooled", "between"])
+def test_pooled_stats_match_a_loop_reference(estimator):
+    rng = np.random.default_rng(7)
+    for d, r, m in ((20, 3, 4), (3, 2, 1), (5, 12, 1), (30, 4, 200)):
+        # magnitudes from 1e-8 to 1e8: every change of summation order shows
+        samples = (rng.standard_normal((d, r, m))
+                   * 10.0 ** rng.integers(-8, 9, (d, r, m))).tolist()
+        stats = pooled_stats(samples, estimator=estimator)
+        assert (stats.mu, stats.mu_star, stats.sigma) == stats_reference(samples, estimator)
+        assert stats.effects.tolist() == samples
+    # here a compensated sum (Python 3.12's sum, like math.fsum) or a pairwise
+    # one (numpy's sum) of a direction's effects differs from the loop's
+    flats = [[e for rep in per_direction for e in rep] for per_direction in samples]
+    assert any(math.fsum(flat) != loop_sum(flat) for flat in flats)
+    assert any(float(np.sum(flat)) != loop_sum(flat) for flat in flats)
+
+
+def test_pooled_stats_sum_negative_zeros_to_zero():
+    stats = pooled_stats([[[-0.0, -0.0], [-0.0, -0.0]]], estimator="between")
+    assert [math.copysign(1.0, x) for x in stats.mu + stats.sigma] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("estimator", ["pooled", "between"])
+def test_sigma_squares_deviations_as_python_does(estimator):
+    # x ** 2 (pow) and x * x differ in the last bit for about one double in
+    # 1,200; take a seeded one where the difference outlives the square root
+    rng = np.random.default_rng(1)
+    x = next(x for x in rng.standard_normal(100_000).tolist()
+             if math.sqrt(2 * x ** 2) != math.sqrt(2 * (x * x)))
+    # effects x and -x: mean 0.0, deviations (and replicate means) x and -x
+    stats = pooled_stats([[[x], [-x]]], estimator=estimator)
+    assert stats.sigma == (math.sqrt(x ** 2 + (-x) ** 2),) == \
+        stats_reference([[[x], [-x]]], estimator)[2]
+    assert stats.sigma != (math.sqrt(x * x + x * x),)
+
+
+def test_pooled_stats_need_one_count_of_effects():
+    with pytest.raises(ValueError, match="same number of effects"):
+        pooled_stats([[[1.0, 2.0], [3.0]]])
+    with pytest.raises(ValueError, match="same number of effects"):
+        pooled_stats([[1.0, 2.0]])

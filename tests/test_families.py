@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqdesign import families
+from eqdesign import families, poly
 from eqdesign.families import (CACHE_SIZE, FAMILIES, MAX_DESIGN_VERTICES, alpha_h,
                                economy_limits, gen_G, gen_H, gen_M, gen_path,
                                generate, leaf_counts, min_size_oracle,
@@ -307,4 +307,22 @@ def test_caches_are_bounded():
         gen_G(12, m)
     assert gen_G.cache_info().currsize == CACHE_SIZE
     for cache in caches:
+        cache.cache_clear()
+
+
+def test_generate_leaves_edges_uncomputed(monkeypatch):
+    # construction mirrors sub-designs, which must stay a plain sort: no edge
+    # search, and no edges to carry into the result
+    def no_search(*args):
+        raise AssertionError("family construction searched for edges")
+
+    for cache in (gen_G, gen_H, families._gen_H2):
+        cache.cache_clear()
+    monkeypatch.setattr(poly, "edge_index", no_search)
+    for family, d, m in (("G", 20, 4), ("G", 30, 200), ("H", 30, 200), ("M", 20, 4),
+                         ("M", 30, 200), ("path", 20, 1)):
+        design = generate(family, d, m)
+        assert "edge_arrays" not in design.__dict__
+        assert "edge_arrays" not in design.mirror(1).__dict__
+    for cache in (gen_G, gen_H, families._gen_H2):
         cache.cache_clear()

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from eqdesign.effects import build_incidence, embed, elementary_effects, \
     order_vertices, randomize
 from eqdesign.families import FAMILIES, gen_G, gen_H, gen_M, gen_path, q_min
-from eqdesign.poly import (DesignPoly, dumps_design, format_words, loads_design,
-                           mono_name, mono_str)
+from eqdesign.poly import (DesignPoly, dumps_design, edge_index, format_words,
+                           loads_design, mono_name, mono_str)
 from eqdesign.screening import ScreenConfig, config_from_dict
 
 from conftest import (brute_direction_pairs, brute_edge_profile, design_polys,
@@ -399,3 +399,43 @@ def test_of_sorts_and_drops_repeats():
     design = DesignPoly.of(3, (t for t in [5, 1, 5, 0, 1]))
     assert design == DesignPoly(3, np.array([0, 1, 5]))
     assert_canonical(design)
+
+
+# -- edges: one search per base design, inherited by every replicate ---------
+
+def edge_triples(edges):
+    return list(zip(*(column.tolist() for column in edges)))
+
+
+@given(wide_design_polys())
+def test_wide_edge_index_matches_bit_loop(p):
+    values = p.sorted_terms.tolist()
+    index = {v: k for k, v in enumerate(values)}
+    # by direction, then lower endpoint
+    expected = [(i, index[v], index[v | 1 << i]) for i in range(p.dim)
+                for v in values if not v >> i & 1 and v | 1 << i in index]
+    assert edge_triples(edge_index(p.sorted_terms, p.dim)) == expected
+
+
+@given(wide_design_polys(), st.data())
+def test_inherited_edges_match_a_fresh_search(p, data):
+    s = data.draw(monomials_in(p.dim))
+    perm = data.draw(permutations_of(p.dim))
+    # a design whose edges were never asked for passes none on
+    assert "edge_arrays" not in p.mirror(s).permute(perm).__dict__
+    p.edge_arrays
+    mirrored = p.mirror(s)
+    image = mirrored.permute(perm)
+    relabelled = p.permute(perm)
+    for design in (mirrored, image, relabelled,
+                   relabelled.mirror(permute_reference(s, perm))):
+        assert "edge_arrays" in design.__dict__  # carried, not searched
+        assert sorted(edge_triples(design.edge_arrays)) == \
+            edge_triples(edge_index(design.sorted_terms, design.dim))
+    od = order_vertices(image)
+    searched = order_vertices(DesignPoly(image.dim, image.sorted_terms)).all_pairs
+    for got, want in zip(od.all_pairs, searched):
+        assert np.array_equal(got, want)
+    vertices = od.vertices.tolist()
+    for i in range(1, p.dim + 1):
+        assert build_incidence(od, i).pairs == incidence_reference(vertices, i)
