@@ -2,13 +2,13 @@
 
 from .poly import (DesignPoly, DimensionMismatch, common_multiplicity,
                    design_from_dict, design_to_dict, dumps_design,
-                   loads_design, mono_from_vars, mono_mul, mono_name,
-                   mono_parse, mono_str, to_dot)
-from .families import (FAMILIES, LeafDecomposition, SizePrediction,
-                       check_domain, economy_limits, gen_G, gen_H, gen_M,
-                       gen_path, generate, leaf_counts, min_size_oracle,
-                       predicted_size, predicted_size_G, predicted_size_H,
-                       predicted_size_M, q_min)
+                   loads_design, mono_from_vars, mono_name, mono_parse,
+                   mono_str, to_dot)
+from .families import (FAMILIES, LeafDecomposition, check_domain,
+                       economy_limits, gen_G, gen_H, gen_M, gen_path, generate,
+                       leaf_counts, min_size_oracle, predicted_size,
+                       predicted_size_G, predicted_size_H, predicted_size_M,
+                       q_min)
 from .effects import (EffectIncidence, FactorStats, OrderedDesign,
                       ReplicatedDesign, build_incidence, elementary_effects,
                       embed, order_vertices, pairs_csv, pooled_stats,

@@ -10,7 +10,6 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 from . import effects, families, poly, screening
 
@@ -105,8 +104,7 @@ def cmd_economy(args) -> int:
     lines = ["family,d,m,size,predicted_size,economy"]
     for family, m, predicted in rows:
         design = families.generate(family, d, m)
-        gamma = Fraction(m * d, len(design))
-        lines.append(f"{family},{d},{m},{len(design)},{predicted},{gamma}")
+        lines.append(f"{family},{d},{m},{len(design)},{predicted},{design.economy(m)}")
     text = "\n".join(lines) + "\n"
     if args.out:
         write_atomic(args.out, text)

@@ -127,8 +127,6 @@ def randomize(design: DesignPoly, rng: np.random.Generator):
 class ReplicatedDesign:
     """One embedded replicate: points[k] corresponds to vertices[k]."""
 
-    base_point: tuple
-    delta: float
     points: np.ndarray  # float (|S|, d), rows in [0,1]^d
 
 
@@ -149,7 +147,7 @@ def embed(od: OrderedDesign, base: Sequence[float], delta: float) -> ReplicatedD
     levels = np.array([[min(1.0, b + delta * bit) for b in base] for bit in (0, 1)])
     columns = np.arange(d)
     points = levels[(od.vertices[:, None] >> columns) & 1, columns]
-    return ReplicatedDesign(base_point=tuple(base), delta=delta, points=points)
+    return ReplicatedDesign(points=points)
 
 
 def sample_base(d: int, delta: float, levels: int, rng: np.random.Generator) -> tuple:

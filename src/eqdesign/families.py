@@ -2,7 +2,7 @@
 
 All three are recursive compositions over the hypercube dimension:
 
-* G starts from the star 1 + sum(X_i) at m=1 and doubles/splits m;
+* G starts from the star 1 + sum(X_i) at m=1 and splits m into its halves;
 * H replaces the m=1 start with hand-built m=2 and m=3 designs, which
   propagates smaller sizes up the same recursion;
 * M tiles (c-1) copies of the smallest possible H block plus one wider
@@ -34,43 +34,23 @@ class LeafDecomposition:
     i_offset: int
 
 
-@dataclass(frozen=True)
-class SizePrediction:
-    """Closed-form size c + alpha*d of an H design, kept as exact rationals."""
-
-    value: int
-    alpha: Fraction
-    c_term: Fraction
-
-
-def _check_dm(d: int, m: int) -> None:
-    """Q_d exists in the package (1 <= d <= MAX_DIM) and has room for m edges per direction."""
-    if not 1 <= d <= MAX_DIM:
-        raise ValueError(f"d must be in [1, {MAX_DIM}], got {d}")
-    if not 1 <= m <= 1 << (d - 1):
-        raise ValueError(f"m must be in [1, 2^(d-1)] = [1, {1 << (d - 1)}], got {m}")
-
-
 def gen_path(d: int) -> DesignPoly:
     """Staircase OAT path: 1, X1, X1X2, ..., X1...Xd.  (d,1)-equitable, size d+1."""
     check_domain("path", d, 1)
     return DesignPoly.of(d, ((1 << k) - 1 for k in range(d + 1)))
 
 
-# gen_G, gen_H and _gen_H2 keep this many designs each; more than the 947
-# gen_H entries of an economy table at d=30 up to m=200
+# gen_G, gen_H, gen_M and _gen_H2 keep this many designs each; more than the
+# 947 gen_H entries of an economy table at d=30 up to m=200
 CACHE_SIZE = 1024
 
 
-def _double(inner: DesignPoly, d: int) -> DesignPoly:
-    """(1 + X1 Xd) * inner, lifting inner from dimension d-1 to d."""
-    lifted = DesignPoly(d, inner.sorted_terms)
-    x1xd = mono_from_vars(1, d)
-    return lifted.union_disjoint(lifted.mirror(x1xd))
-
-
 def _split(lo: DesignPoly, hi: DesignPoly, d: int) -> DesignPoly:
-    """lo + X1 Xd * hi, lifting both from dimension d-1 to d."""
+    """lo + X1 Xd * hi, lifting both from dimension d-1 to d.
+
+    G and H both recurse through it on the two halves m // 2 and (m + 1) // 2
+    of m; for even m they are equal, and the result is (1 + X1 Xd) * lo.
+    """
     x1xd = mono_from_vars(1, d)
     return DesignPoly(d, lo.sorted_terms).union_disjoint(
         DesignPoly(d, hi.sorted_terms).mirror(x1xd))
@@ -82,9 +62,7 @@ def gen_G(d: int, m: int) -> DesignPoly:
     check_domain("G", d, m)
     if m == 1:
         return DesignPoly.of(d, [0] + [1 << i for i in range(d)])
-    if m % 2 == 0:
-        return _double(gen_G(d - 1, m // 2), d)
-    return _split(gen_G(d - 1, (m - 1) // 2), gen_G(d - 1, (m + 1) // 2), d)
+    return _split(gen_G(d - 1, m // 2), gen_G(d - 1, (m + 1) // 2), d)
 
 
 def predicted_size_G(d: int, m: int) -> int:
@@ -125,9 +103,7 @@ def gen_H(d: int, m: int) -> DesignPoly:
         return _gen_H2(d)
     if m == 3:
         return _gen_H3(d)
-    if m % 2 == 0:
-        return _double(gen_H(d - 1, m // 2), d)
-    return _split(gen_H(d - 1, (m - 1) // 2), gen_H(d - 1, (m + 1) // 2), d)
+    return _split(gen_H(d - 1, m // 2), gen_H(d - 1, (m + 1) // 2), d)
 
 
 def leaf_counts(m: int) -> LeafDecomposition:
@@ -149,23 +125,22 @@ def alpha_h(m: int) -> Fraction:
     return Fraction(m + (1 << (lc.kappa - 1)), 2)
 
 
-def predicted_size_H(d: int, m: int) -> SizePrediction:
+def predicted_size_H(d: int, m: int) -> int:
     """Closed form |H| = c(m) + alpha(m) d; c depends on the parity of d - kappa."""
     check_domain("H", d, m)
     lc = leaf_counts(m)
     kappa, i = lc.kappa, lc.i_offset
     eps = 1 if (d - kappa) % 2 == 0 else -1
-    alpha = alpha_h(m)
     if i >= 0:
         c = -m * Fraction(eps + 1, 2) - m * kappa + Fraction(3 * eps + 2 * kappa + 9, 4) * (1 << kappa)
     else:
         c = -Fraction(m, 2) * (Fraction(eps - 1, 2) + kappa) - Fraction(-3 * eps + 2 * kappa - 9, 8) * (1 << kappa)
-    value = c + alpha * d
+    value = c + alpha_h(m) * d
     if value.denominator != 1:
         raise ValueError(
             f"size formula gives non-integer {value} at (d={d}, m={m}); outside its validity"
         )
-    return SizePrediction(value=int(value), alpha=alpha, c_term=c)
+    return int(value)
 
 
 def q_min(m: int) -> int:
@@ -185,6 +160,7 @@ def _m_decomposition(d: int, m: int) -> Tuple[int, int, int]:
     return q, blocks - 1, q + rem
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def gen_M(d: int, m: int) -> DesignPoly:
     """Factored family: shifted H blocks over disjoint coordinate ranges sharing the origin."""
     check_domain("M", d, m)
@@ -208,8 +184,7 @@ def predicted_size_M(d: int, m: int) -> int:
     if m == 1:
         block_size, tail_size = q + 1, t + 1
     else:
-        block_size = predicted_size_H(q, m).value
-        tail_size = predicted_size_H(t, m).value
+        block_size, tail_size = predicted_size_H(q, m), predicted_size_H(t, m)
     return 1 + copies * (block_size - 1) + (tail_size - 1)
 
 
@@ -233,7 +208,7 @@ def min_size_oracle(d: int, m: int) -> Tuple[int, DesignPoly]:
     Enumerates vertex subsets in increasing size, so the first hit is minimal.
     Only feasible for tiny d; hard-capped at d <= 4 (at most 2^16 subsets).
     """
-    _check_dm(d, m)
+    check_domain("G", d, m)  # G exists wherever Q_d has room for m edges a direction
     if d > ORACLE_MAX_DIM:
         raise ValueError(f"exhaustive oracle is capped at d <= {ORACLE_MAX_DIM}, got {d}")
     vertices = range(1 << d)
@@ -262,7 +237,7 @@ class Family:
 
 _REGISTRY = {
     "G": Family(gen_G, predicted_size_G),
-    "H": Family(gen_H, lambda d, m: predicted_size_H(d, m).value),
+    "H": Family(gen_H, predicted_size_H),
     "M": Family(gen_M, predicted_size_M),
     "path": Family(lambda d, m: gen_path(d), lambda d, m: d + 1),
 }
@@ -277,7 +252,10 @@ def check_domain(family: str, d: int, m: int) -> None:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    _check_dm(d, m)
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"d must be in [1, {MAX_DIM}], got {d}")
+    if not 1 <= m <= 1 << (d - 1):
+        raise ValueError(f"m must be in [1, 2^(d-1)] = [1, {1 << (d - 1)}], got {m}")
     if family == "H" and m < 2:
         raise ValueError(f"family 'H' starts at m=2, got m={m}")
     if family == "path" and m != 1:

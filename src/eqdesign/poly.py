@@ -50,14 +50,6 @@ def check_monomial(mono: int, dim: int) -> None:
         raise ValueError(f"monomial {mono:#x} uses variables beyond dimension {dim}")
 
 
-def mono_mul(a: int, b: int, dim: Optional[int] = None) -> int:
-    """Product of two monomials: symmetric difference of their exponent sets."""
-    if dim is not None:
-        check_monomial(a, dim)
-        check_monomial(b, dim)
-    return a ^ b
-
-
 def mono_from_vars(*indices: int) -> int:
     """Monomial with the given 1-based variable indices, e.g. mono_from_vars(1, 3) = X1*X3."""
     mono = 0
@@ -214,11 +206,6 @@ class DesignPoly:
         return hash((self.dim, self.sorted_terms.tobytes()))
 
     @cached_property
-    def terms(self) -> frozenset:
-        """The monomials as a frozenset of Python ints, built on first request."""
-        return frozenset(self.sorted_terms.tolist())
-
-    @cached_property
     def grlex_index(self) -> np.ndarray:
         """Positions in sorted_terms in graded-lex order: a stable sort by degree."""
         return _frozen(np.argsort(np.bitwise_count(self.sorted_terms), kind="stable"))
@@ -348,15 +335,6 @@ class DesignPoly:
                 f"shift by {k} pushes variable X{top} beyond dimension {new_dim}"
             )
         return DesignPoly(new_dim, self.sorted_terms << k)
-
-    def edges(self):
-        """All (lower, upper, direction) edges, direction 1-based; lower has bit unset.
-
-        Edges come by the lower endpoint's graded-lex position, then direction.
-        """
-        direction, lower, upper = self._edges_by_lower()
-        return list(zip(self.ordered_terms[lower].tolist(), self.ordered_terms[upper].tolist(),
-                        (direction + 1).tolist()))
 
     def _edges_by_lower(self) -> tuple:
         """(direction, lower, upper) of every edge, endpoints as graded-lex

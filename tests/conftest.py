@@ -1,15 +1,21 @@
 """Shared brute-force oracles and hypothesis strategies for the test suite."""
 import itertools
 
+import numpy as np
 from hypothesis import strategies as st
 
 from eqdesign.poly import DesignPoly
 
 
+def term_set(design):
+    """The design's monomials as a frozenset of Python ints."""
+    return frozenset(design.sorted_terms.tolist())
+
+
 def brute_edge_profile(design):
     """Count direction-i edges by scanning all unordered vertex pairs."""
     counts = [0] * design.dim
-    terms = sorted(design.terms)
+    terms = design.sorted_terms.tolist()
     for a, b in itertools.combinations(terms, 2):
         diff = a ^ b
         if diff.bit_count() == 1:
@@ -68,6 +74,20 @@ def incidence_reference(vertices, direction):
             lower, upper = index[v], index[v | bit]
             pairs.append((min(lower, upper), max(lower, upper), 1 if lower < upper else -1))
     return tuple(sorted(pairs))
+
+
+def benchmark_coefficients_reference(seed):
+    """(beta0, beta1, beta2) of the 20-factor benchmark, with the second-order
+    coefficients drawn one pair at a time in lexicographic order."""
+    rng = np.random.default_rng(seed)
+    beta0 = float(rng.standard_normal())
+    beta1 = np.zeros(20)
+    beta1[:10] = 20.0
+    beta1[10:] = rng.standard_normal(10)
+    beta2 = np.zeros((20, 20))
+    for i, j in itertools.combinations(range(20), 2):
+        beta2[i, j] = -15.0 if (i < 6 and j < 6) else rng.standard_normal()
+    return beta0, beta1, beta2
 
 
 def embed_reference(vertices, base, delta):

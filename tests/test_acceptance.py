@@ -53,7 +53,7 @@ def test_criterion_2_size_theorems():
             assert predicted_size_G(d, m) == len(gen_G(d, m))
     for d in range(2, D_CAP + 1):
         for m in _m_range(d, lo=2):
-            assert len(gen_H(d, m)) == predicted_size_H(d, m).value, (d, m)
+            assert len(gen_H(d, m)) == predicted_size_H(d, m), (d, m)
     # special case m = 2^kappa + 2^(kappa-1): |H| = 2^kappa ((d - kappa) + 3/2)
     for kappa in range(1, 5):
         m = (1 << kappa) + (1 << (kappa - 1))

@@ -5,7 +5,7 @@ import pytest
 
 from eqdesign import cli, screening
 from eqdesign.families import generate, q_min
-from eqdesign.poly import DesignPoly, dumps_design, loads_design
+from eqdesign.poly import dumps_design, loads_design
 
 
 def run_cli(capsys, *argv):
@@ -24,7 +24,7 @@ def test_generate_json(tmp_path, capsys):
     assert code == 0
     assert "size=4" in stdout
     design, meta = loads_design(out.read_text())
-    assert len(design.terms) == 4
+    assert len(design) == 4
     assert meta["family"] == "G" and meta["m"] == 1
 
 
@@ -240,23 +240,3 @@ def test_screen_rejects_non_finite_function(tmp_path, capsys, monkeypatch):
     code, _, stderr = run_cli(capsys, "screen", "--config", str(cfg), "--out", str(out))
     assert code == 2 and "func returned nan at vertex" in stderr
     assert not out.exists()
-
-
-def test_no_command_reads_the_term_set(tmp_path, capsys, monkeypatch):
-    # a design is its int64 array; the frozenset view is for callers outside
-    # the package only, so every command must run with it unavailable
-    def refuse(design):
-        raise AssertionError("DesignPoly.terms read inside eqdesign")
-    monkeypatch.setattr(DesignPoly, "terms", property(refuse))
-    design, pairs = str(tmp_path / "m.json"), str(tmp_path / "pairs.csv")
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"seed": 3, "family": "M", "m": 4}))
-    for argv in (["economy", "--d", "9", "--m-max", "6"],
-                 ["generate", "--family", "M", "--d", "20", "--m", "4", "--out", design],
-                 ["generate", "--family", "H", "--d", "6", "--m", "5", "--format", "dot"],
-                 ["verify", "--in", design],
-                 ["pairs", "--in", design, "--out", pairs],
-                 ["screen", "--config", str(config), "--out", str(tmp_path / "s.csv")],
-                 ["oracle", "--d", "3", "--m", "2"]):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 0, (argv, err)

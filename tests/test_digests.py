@@ -1,12 +1,15 @@
 """Byte-identity gate: SHA-256 digests of screening reports, of the pairs,
-JSON and `verify` outputs of two d=62 designs, of the DOT form of one, and
-of a mid-scale `economy` table.
+JSON and `verify` outputs of two d=62 designs, of the pairs and JSON outputs
+of two d=62 G designs (one odd m, one even), of the DOT form of one design,
+and of a mid-scale `economy` table.
 
 The screening, pairs and JSON digests were recorded before the vertex-array
 refactor of `poly` and `effects`; the economy, verify and DOT digests before
 designs were built on arrays; the between-estimator and m=200 screens before
-replicates inherited their base design's edges.  Any change to a float, a row order or a
-formatting detail fails here.  Re-record (only for an intended change of output) with
+replicates inherited their base design's edges; the G design digests before
+G and H recursed through one split for odd and even m.  Any change to a
+float, a row order or a formatting detail fails here.  Re-record (only for an
+intended change of output) with
 
     PYTHONPATH=src python3 tests/test_digests.py
 """
@@ -21,7 +24,7 @@ import pytest
 
 from eqdesign import cli
 from eqdesign.effects import order_vertices, pairs_csv
-from eqdesign.families import gen_H, gen_M
+from eqdesign.families import gen_G, gen_H, gen_M
 from eqdesign.poly import dumps_design, to_dot
 from eqdesign.screening import ScreenConfig, run_screen
 
@@ -32,6 +35,8 @@ MID_CONFIGS = (("M", 32, 3), ("H", 32, 3), ("G", 64, 2))
 EXTRA_CONFIGS = (("screen-M-20-4-r3-between", 20, "M", 4, 3, "between"),
                  ("screen-H-30-32-r3-between", 30, "H", 32, 3, "between"),
                  ("screen-G-30-200-r4", 30, "G", 200, 4, "pooled"))
+# G(62, m) designs for an even and an odd m (|S| 5,628 and 41,428)
+G_MULTIPLICITIES = (100, 777)
 
 
 def mid_function(x):
@@ -74,6 +79,10 @@ def digests():
             path = Path(tmp) / f"{family}.json"
             path.write_text(out[f"json-{family}-62"])
             out[f"verify-{family}-62"] = cli_stdout(["verify", "--in", str(path)])
+    for m in G_MULTIPLICITIES:
+        design = gen_G(62, m)
+        out[f"pairs-G-62-{m}"] = pairs_csv(order_vertices(design))
+        out[f"json-G-62-{m}"] = dumps_design(design, family="G")
     out["dot-H-62"] = to_dot(gen_H(62, 100))
     out["economy-30-40"] = cli_stdout(["economy", "--d", "30", "--m-max", "40"])
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}
@@ -104,6 +113,10 @@ EXPECTED = {
     'json-M-62': '3aabb33a946a0ca3d205fa6d7b1cc82ac8ef57ce01d5713b8c1bda391863ae0c',
     'verify-H-62': '031442c48a413844dd609f91b2bdc1738308c9e7b1bcab3eeacfe1884c9a5bab',
     'verify-M-62': '2663e7d291148a533e7f6d549caf9149e1c53d026d05f11a4d76e7e4f6e44070',
+    'pairs-G-62-100': 'ca5ef3045ebcb2f33357d0775a50d1ef6af2c55bc4fe48c4a5bcb0a2c734ca2d',
+    'json-G-62-100': '3421119aeeb0bde79dfee0d1a26233ac337ef0c1089e52b79c53d35b8d9ded30',
+    'pairs-G-62-777': 'f7302e102cc7df9aee8696dd8469d4962864d38262e02975fe2a88a5ba5f72f7',
+    'json-G-62-777': '7e6e5b7ec021362a1e39719e06d2338e8fdd1ef06d05935329e683e6f404f7d0',
     'dot-H-62': '35d6066aad51ea2e7f2d8e2c8626470128ed2d2b9ac71c432655ed30a5b43952',
     'economy-30-40': '1dd9ae59c2cb323507a70954bc7908cb3575eba1b6de8f6c65459d7673fb1a29',
 }

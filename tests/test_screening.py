@@ -10,6 +10,8 @@ from eqdesign.screening import (REFERENCE_CLASSES, ScreenConfig, BenchmarkFuncti
                                 build_test_function, classify,
                                 config_from_dict, run_screen, w_transform)
 
+from conftest import benchmark_coefficients_reference
+
 
 def test_w_transform():
     assert w_transform(np.zeros(20)) == pytest.approx(np.full(20, -1.0))
@@ -34,6 +36,16 @@ def test_test_function_deterministic():
     pts = rng.random((100, 20))
     assert np.array_equal(f(pts), g(pts))
     assert f(pts[0]) == f(pts)[0]
+
+
+def test_test_function_matches_the_per_pair_draws():
+    # one array draw for the 175 free pairs gives the same bits as a draw per pair
+    for seed in range(64):
+        f = build_test_function(seed)
+        beta0, beta1, beta2 = benchmark_coefficients_reference(seed)
+        assert f.beta0 == beta0
+        assert f.beta1.tobytes() == beta1.tobytes()
+        assert f.beta2.tobytes() == beta2.tobytes(), seed
 
 
 def test_test_function_zero_point():
