@@ -188,3 +188,13 @@ def test_dot_export():
     assert {line for line in dot.splitlines() if "--" in line} == {
         '  "00" -- "10" [dir=1];', '  "01" -- "11" [dir=1];',
         '  "00" -- "01" [dir=2];', '  "10" -- "11" [dir=2];'}
+
+
+def test_edges_listing():
+    square = DesignPoly.of(2, [0b00, 0b01, 0b10, 0b11])
+    direction, lower, upper = square.edge_arrays
+    terms = square.sorted_terms
+    edges = {(int(terms[lo]), int(terms[up]), int(i) + 1)
+             for i, lo, up in zip(direction, lower, upper)}
+    assert edges == {(0b00, 0b01, 1), (0b10, 0b11, 1),
+                     (0b00, 0b10, 2), (0b01, 0b11, 2)}
