@@ -9,10 +9,10 @@ from .families import (FAMILIES, LeafDecomposition, check_domain,
                        leaf_counts, min_size_oracle, predicted_size,
                        predicted_size_G, predicted_size_H, predicted_size_M,
                        q_min)
-from .effects import (EffectIncidence, FactorStats, OrderedDesign,
-                      ReplicatedDesign, build_incidence, elementary_effects,
-                      embed, order_vertices, pairs_csv, pooled_stats,
-                      randomize, sample_base)
+from .effects import (EffectIncidence, FactorStats, ReplicatedDesign,
+                      build_incidence, elementary_effects, embed,
+                      order_vertices, pairs_csv, pooled_stats, randomize,
+                      sample_base)
 from .screening import (REFERENCE_CLASSES, ScreenConfig, ScreenReport,
                         BenchmarkFunction, build_test_function, classify,
                         config_from_dict, run_screen, w_transform)

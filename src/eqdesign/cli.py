@@ -118,8 +118,7 @@ def cmd_pairs(args) -> int:
     if not len(design):
         print("error: empty design has no pairs", file=sys.stderr)
         return EXIT_USAGE
-    od = effects.order_vertices(design)
-    text = effects.pairs_csv(od)
+    text = effects.pairs_csv(effects.order_vertices(design))
     if args.out:
         write_atomic(args.out, text)
     else:

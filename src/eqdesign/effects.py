@@ -10,6 +10,7 @@ summed left to right so that reports are reproducible to the last bit.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,57 +21,21 @@ import numpy as np
 from .poly import DesignPoly, _frozen, format_words
 
 
-@dataclass(frozen=True, eq=False)
-class OrderedDesign:
-    """A design with its canonical graded-lex vertex order (1-based indexing downstream).
-
-    `vertices` is the design's read-only int64 array in graded-lex order: row
-    k+1 of every incidence is vertices[k].
-    """
-
-    design: DesignPoly
-    vertices: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.design.dim
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    @cached_property
-    def all_pairs(self) -> tuple:
-        """(rows, cols, starts): every direction's pairs as two read-only int64
-        arrays of 0-based positions in `vertices`, by direction then row, and
-        the list of d+1 offsets at which each direction starts, plus the end.
-
-        They are read off the design's edges, which a randomized replicate
-        inherits from its base design.  An edge's upper endpoint has one more
-        degree than its lower one, so it comes later in graded-lex order: row
-        is always the lower endpoint and col the upper.
-        """
-        design = self.design
-        direction, lower, upper = design.edge_arrays
-        rows = design.grlex_position[lower]
-        # by direction, then row: one sort of a combined key (rows < len(design))
-        order = np.argsort(direction * len(design) + rows, kind="stable")
-        starts = np.zeros(design.dim + 1, dtype=np.int64)
-        np.cumsum(np.bincount(direction, minlength=design.dim), out=starts[1:])
-        return (_frozen(rows[order]), _frozen(design.grlex_position[upper[order]]),
-                starts.tolist())
-
-
-def order_vertices(design: DesignPoly) -> OrderedDesign:
+def order_vertices(design: DesignPoly) -> DesignPoly:
+    """The design, once its graded-lex order `ordered_terms` is computed; row
+    k+1 of every incidence is ordered_terms[k].  A step of its own only so
+    that the benchmark (perfbench/spans.py) can patch and time it by name."""
     if not len(design):
         raise ValueError("cannot order an empty design")
-    return OrderedDesign(design=design, vertices=design.ordered_terms)
+    design.ordered_terms
+    return design
 
 
 @dataclass(frozen=True, eq=False)
 class EffectIncidence:
     """Direction-i vertex pairs: pair k joins rows[k] < cols[k], 0-based
-    positions in vertex order of its lower and upper endpoint (read-only
-    int64 views into the OrderedDesign's all_pairs).
+    positions in graded-lex order of its lower and upper endpoint (read-only
+    int64 views into the design's grlex_pairs).
 
     `pairs` lists them as 1-based (row, col, sign) tuples, built on request.
     Sign is +1 when the row vertex sits at coordinate 0 of direction i, so a
@@ -88,11 +53,11 @@ class EffectIncidence:
                          itertools.repeat(1)))
 
 
-def build_incidence(od: OrderedDesign, direction: int) -> EffectIncidence:
-    """Direction `direction`'s pairs, sliced from the OrderedDesign's all-direction pass."""
-    if not 1 <= direction <= od.dim:
-        raise ValueError(f"direction must be in 1..{od.dim}, got {direction}")
-    rows, cols, starts = od.all_pairs
+def build_incidence(design: DesignPoly, direction: int) -> EffectIncidence:
+    """Direction `direction`'s pairs, sliced from the design's grlex_pairs."""
+    if not 1 <= direction <= design.dim:
+        raise ValueError(f"direction must be in 1..{design.dim}, got {direction}")
+    rows, cols, starts = design.grlex_pairs
     lo, hi = starts[direction - 1], starts[direction]
     return EffectIncidence(direction=direction, rows=rows[lo:hi], cols=cols[lo:hi])
 
@@ -125,7 +90,7 @@ def randomize(design: DesignPoly, rng: np.random.Generator):
 
 @dataclass(frozen=True, eq=False)
 class ReplicatedDesign:
-    """One embedded replicate: points[k] corresponds to vertices[k]."""
+    """One embedded replicate: points[k] corresponds to ordered_terms[k]."""
 
     points: np.ndarray  # float (|S|, d), rows in [0,1]^d
 
@@ -133,9 +98,9 @@ class ReplicatedDesign:
 _EPS = 1e-9
 
 
-def embed(od: OrderedDesign, base: Sequence[float], delta: float) -> ReplicatedDesign:
-    """Map vertices to points base + delta * bits, keeping the vertex order."""
-    d = od.dim
+def embed(design: DesignPoly, base: Sequence[float], delta: float) -> ReplicatedDesign:
+    """Map vertices to points base + delta * bits, in graded-lex order."""
+    d = design.dim
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     if len(base) != d:
@@ -146,7 +111,7 @@ def embed(od: OrderedDesign, base: Sequence[float], delta: float) -> ReplicatedD
     # coordinate i of a point is one of two values, min(1, base[i] + delta * bit)
     levels = np.array([[min(1.0, b + delta * bit) for b in base] for bit in (0, 1)])
     columns = np.arange(d)
-    points = levels[(od.vertices[:, None] >> columns) & 1, columns]
+    points = levels[(design.ordered_terms[:, None] >> columns) & 1, columns]
     return ReplicatedDesign(points=points)
 
 
@@ -154,12 +119,13 @@ def sample_base(d: int, delta: float, levels: int, rng: np.random.Generator) -> 
     """Draw each coordinate uniformly from the p-level grid values not exceeding 1-delta."""
     if levels < 2:
         raise ValueError(f"need at least 2 grid levels, got {levels}")
-    grid = [k / (levels - 1) for k in range(levels)]
-    feasible = [g for g in grid if g <= 1 - delta + _EPS]
-    if not feasible:
+    # grid value k is k / (levels - 1); the feasible ones are a prefix of the grid
+    n_feasible = bisect.bisect_right(range(levels), 1 - delta + _EPS,
+                                     key=lambda k: k / (levels - 1))
+    if not n_feasible:
         raise ValueError(f"no grid value in [0, 1-delta] for delta={delta}, levels={levels}")
-    picks = rng.integers(0, len(feasible), size=d)
-    return tuple(feasible[k] for k in picks)
+    picks = rng.integers(0, n_feasible, size=d)
+    return tuple(int(k) / (levels - 1) for k in picks)
 
 
 @dataclass(frozen=True)
@@ -172,6 +138,9 @@ class FactorStats:
     # read-only float (d, r, m) array: effects[i, j] are the direction-(i+1)
     # effects of replicate j+1
     effects: np.ndarray = field(compare=False)
+
+
+ESTIMATORS = ("pooled", "between")  # the sigma estimators of pooled_stats
 
 
 def _total(x: np.ndarray) -> np.ndarray:
@@ -202,7 +171,7 @@ def pooled_stats(samples: Sequence[Sequence[Sequence[float]]],
     per-replicate means (requires >= 2 replicates).  Neither reproduces the
     clustered-survey correction cited without formula in the source material.
     """
-    if estimator not in ("pooled", "between"):
+    if estimator not in ESTIMATORS:
         raise ValueError(f"unknown sigma estimator {estimator!r}")
     try:
         effects = np.array(samples, dtype=float)
@@ -227,17 +196,17 @@ def pooled_stats(samples: Sequence[Sequence[Sequence[float]]],
                        sigma=tuple(np.sqrt(var).tolist()), effects=_frozen(effects))
 
 
-def pairs_csv(od: OrderedDesign) -> str:
+def pairs_csv(design: DesignPoly) -> str:
     """Pair listing for all directions: direction,row,col,sign,lower_vertex,upper_vertex.
 
     Each direction's rows are joined on their own, so that only one
     direction's line strings are alive next to the text.
     """
-    words = format_words(od.vertices, od.dim)
+    words = format_words(design.ordered_terms, design.dim)
     chunks = ["direction,row,col,sign,lower_vertex,upper_vertex\n"]
-    for i in range(1, od.dim + 1):
-        inc = build_incidence(od, i)
-        # every sign is +1: the row vertex is the lower endpoint (see all_pairs)
+    for i in range(1, design.dim + 1):
+        inc = build_incidence(design, i)
+        # every sign is +1: the row vertex is the lower endpoint (see grlex_pairs)
         chunks.append("".join([f"{i},{r + 1},{c + 1},+1,{words[r]},{words[c]}\n"
                                for r, c in zip(inc.rows.tolist(), inc.cols.tolist())]))
     return "".join(chunks)

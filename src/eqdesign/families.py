@@ -40,7 +40,7 @@ def gen_path(d: int) -> DesignPoly:
     return DesignPoly.of(d, ((1 << k) - 1 for k in range(d + 1)))
 
 
-# gen_G, gen_H, gen_M and _gen_H2 keep this many designs each; more than the
+# gen_G, gen_H and gen_M keep this many designs each; more than the
 # 947 gen_H entries of an economy table at d=30 up to m=200
 CACHE_SIZE = 1024
 
@@ -72,18 +72,15 @@ def predicted_size_G(d: int, m: int) -> int:
     return m * (d - kappa) + (1 << (kappa + 1)) - m
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _gen_H2(d: int) -> DesignPoly:
-    if d == 2:
-        return DesignPoly.of(2, [0b00, 0b01, 0b10, 0b11])
-    if d % 2 == 0:
-        prev = DesignPoly(d, _gen_H2(d - 2).sorted_terms)
-        extra = DesignPoly.of(d, [mono_from_vars(d - 1), mono_from_vars(d),
-                                  mono_from_vars(d - 1, d)])
-    else:
-        prev = DesignPoly(d, _gen_H2(d - 1).sorted_terms)
-        extra = DesignPoly.of(d, [mono_from_vars(1, d), mono_from_vars(d - 1, d)])
-    return prev.union_disjoint(extra)
+    """The m=2 base design: 1, then X_{k-1}, X_k and X_{k-1} X_k for each
+    even k <= d, and for odd d also X1 Xd and X_{d-1} Xd."""
+    terms = [0]
+    for k in range(2, d + 1, 2):
+        terms += [mono_from_vars(k - 1), mono_from_vars(k), mono_from_vars(k - 1, k)]
+    if d % 2:
+        terms += [mono_from_vars(1, d), mono_from_vars(d - 1, d)]
+    return DesignPoly.of(d, terms)
 
 
 def _gen_H3(d: int) -> DesignPoly:

@@ -191,12 +191,6 @@ class DesignPoly:
     def __len__(self) -> int:
         return len(self.sorted_terms)
 
-    def __contains__(self, mono: int) -> bool:
-        if mono < 0 or mono >> self.dim:
-            return False
-        pos = int(np.searchsorted(self.sorted_terms, mono))
-        return pos < len(self) and int(self.sorted_terms[pos]) == mono
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DesignPoly):
             return NotImplemented
@@ -233,6 +227,23 @@ class DesignPoly:
         of mirror and permute when the design they start from has them.
         """
         return tuple(map(_frozen, edge_index(self.sorted_terms, self.dim)))
+
+    @cached_property
+    def grlex_pairs(self) -> tuple:
+        """(rows, cols, starts): every edge as two read-only int64 arrays of
+        positions in ordered_terms, by direction then row, and the list of
+        d+1 offsets at which each direction starts, plus the end.  An upper
+        endpoint has one more degree than its lower one, so it comes later in
+        graded-lex order: row is always the lower endpoint and col the upper.
+        """
+        direction, lower, upper = self.edge_arrays
+        rows = self.grlex_position[lower]
+        # by direction, then row: one sort of a combined key (rows < len(self))
+        order = np.argsort(direction * len(self) + rows, kind="stable")
+        starts = np.zeros(self.dim + 1, dtype=np.int64)
+        np.cumsum(np.bincount(direction, minlength=self.dim), out=starts[1:])
+        return (_frozen(rows[order]), _frozen(self.grlex_position[upper[order]]),
+                starts.tolist())
 
     def _image(self, values: np.ndarray, flips: int = 0,
                directions: Optional[np.ndarray] = None) -> "DesignPoly":
@@ -336,14 +347,6 @@ class DesignPoly:
             )
         return DesignPoly(new_dim, self.sorted_terms << k)
 
-    def _edges_by_lower(self) -> tuple:
-        """(direction, lower, upper) of every edge, endpoints as graded-lex
-        positions, by lower endpoint, then direction."""
-        direction, lower, upper = self.edge_arrays
-        lower, upper = self.grlex_position[lower], self.grlex_position[upper]
-        order = np.argsort(lower * self.dim + direction, kind="stable")
-        return direction[order], lower[order], upper[order]
-
     def economy(self, m: Optional[int] = None) -> Fraction:
         """Elementary effects per function evaluation, Gamma = m*d/|S|."""
         if m is None:
@@ -440,8 +443,11 @@ def to_dot(design: DesignPoly, name: str = "design") -> str:
     words = format_words(design.ordered_terms, design.dim)
     lines = [f"graph {name} {{"]
     lines += [f'  "{w}";' for w in words]
-    direction, lower, upper = design._edges_by_lower()
+    rows, cols, starts = design.grlex_pairs
+    direction = np.repeat(np.arange(design.dim), np.diff(starts))
+    order = np.argsort(rows * design.dim + direction, kind="stable")  # by row, then direction
     lines += [f'  "{words[lo]}" -- "{words[hi]}" [dir={k}];'
-              for lo, hi, k in zip(lower.tolist(), upper.tolist(), (direction + 1).tolist())]
+              for lo, hi, k in zip(rows[order].tolist(), cols[order].tolist(),
+                                   (direction[order] + 1).tolist())]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,13 +10,14 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+import sys
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .effects import (FactorStats, build_incidence, elementary_effects, embed,
-                      order_vertices, pooled_stats, randomize, sample_base)
+from .effects import (ESTIMATORS, FactorStats, build_incidence, elementary_effects,
+                      embed, order_vertices, pooled_stats, randomize, sample_base)
 from .families import check_domain, generate
 from .poly import mono_str
 
@@ -127,7 +128,11 @@ class ScreenConfig:
             problems.append(f"delta must be in (0,1], got {self.delta}")
         if self.levels < 2:
             problems.append(f"levels must be >= 2, got {self.levels}")
-        if self.sigma_estimator not in ("pooled", "between"):
+        if not 0 <= self.tau0 <= 1:  # also false for NaN
+            problems.append(f"tau0 must be in [0,1], got {self.tau0}")
+        if not 0 <= self.rho <= sys.float_info.max:  # an int past it fails float()
+            problems.append(f"rho must be finite and >= 0, got {self.rho}")
+        if self.sigma_estimator not in ESTIMATORS:
             problems.append(f"unknown sigma estimator {self.sigma_estimator!r}")
         if problems:
             raise ValueError("invalid screen config: " + "; ".join(problems))
@@ -186,25 +191,25 @@ class ScreenReport:
 
     def metadata_json(self) -> str:
         obj = {
-            "config": asdict(self.config),
+            "config": vars(self.config),
             "n_evals": self.n_evals,
             "design_size": self.design_size,
-            "replicates": [asdict(r) for r in self.replicates],
+            "replicates": [vars(r) for r in self.replicates],
             "classes": list(self.classes),
         }
         return json.dumps(obj, indent=2) + "\n"
 
 
-def _check_values(f_values: np.ndarray, od, where: str) -> None:
+def _check_values(f_values: np.ndarray, design, where: str) -> None:
     """Fail unless func gave one finite value per vertex of the replicate."""
-    if f_values.shape != (len(od),):
+    if f_values.shape != (len(design),):
         raise ValueError(f"{where}: func returned shape {f_values.shape} "
-                         f"for {len(od)} points, expected ({len(od)},)")
+                         f"for {len(design)} points, expected ({len(design)},)")
     # min and max propagate NaN, so both are finite exactly when every value is
     if not (math.isfinite(f_values.min()) and math.isfinite(f_values.max())):
         k = int(np.argmin(np.isfinite(f_values)))
         raise ValueError(f"{where}: func returned {float(f_values[k])} at vertex "
-                         f"{mono_str(int(od.vertices[k]), od.dim)}")
+                         f"{mono_str(int(design.ordered_terms[k]), design.dim)}")
 
 
 def run_screen(config: ScreenConfig,
@@ -231,14 +236,14 @@ def run_screen(config: ScreenConfig,
     n_evals = 0
     for j in range(1, config.r + 1):
         transformed, s, perm = randomize(design, rng)
-        od = order_vertices(transformed)
+        order_vertices(transformed)
         base = sample_base(d, config.delta, config.levels, rng)
-        rep = embed(od, base, config.delta)
+        rep = embed(transformed, base, config.delta)
         f_values = np.asarray(func(rep.points), dtype=float)
-        _check_values(f_values, od, f"replicate {j} of {config.r}")
+        _check_values(f_values, transformed, f"replicate {j} of {config.r}")
         n_evals += len(rep.points)
         for i in range(1, d + 1):
-            inc = build_incidence(od, i)
+            inc = build_incidence(transformed, i)
             samples[i - 1].append(elementary_effects(inc, f_values, config.delta))
         replicates.append(ReplicateMeta(
             reflection=mono_str(s, d), permutation=perm,

@@ -96,6 +96,14 @@ def embed_reference(vertices, base, delta):
             for v in vertices]
 
 
+def sample_base_reference(d, delta, levels, rng):
+    """sample_base with every grid value listed, then the feasible ones."""
+    grid = [k / (levels - 1) for k in range(levels)]
+    feasible = [g for g in grid if g <= 1 - delta + 1e-9]
+    picks = rng.integers(0, len(feasible), size=d)
+    return tuple(feasible[k] for k in picks)
+
+
 @st.composite
 def wide_design_polys(draw, min_size=0):
     """Designs in Q_d for d up to 62, grown as clusters of neighbours so that

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -191,7 +192,10 @@ def test_screen_missing_seed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fields", [{"r": "3"}, {"d": "20"}, {"levels": 2.5},
-                                    {"seed": True}, {"family": "H", "m": 1}])
+                                    {"seed": True}, {"family": "H", "m": 1},
+                                    {"tau0": math.nan}, {"tau0": -0.1}, {"tau0": 1.5},
+                                    {"rho": math.inf}, {"rho": math.nan}, {"rho": -1},
+                                    {"rho": 10 ** 400}])
 def test_screen_rejects_bad_config(tmp_path, capsys, fields):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 0, **fields}))

@@ -1,13 +1,14 @@
 """Byte-identity gate: SHA-256 digests of screening reports, of the pairs,
 JSON and `verify` outputs of two d=62 designs, of the pairs and JSON outputs
-of two d=62 G designs (one odd m, one even), of the DOT form of one design,
-and of a mid-scale `economy` table.
+of two d=62 G designs (one odd m, one even), of the DOT form of three
+designs, and of a mid-scale `economy` table.
 
 The screening, pairs and JSON digests were recorded before the vertex-array
 refactor of `poly` and `effects`; the economy, verify and DOT digests before
 designs were built on arrays; the between-estimator and m=200 screens before
 replicates inherited their base design's edges; the G design digests before
-G and H recursed through one split for odd and even m.  Any change to a
+G and H recursed through one split for odd and even m; the G and M DOT
+digests before to_dot read the design's graded-lex pairs.  Any change to a
 float, a row order or a formatting detail fails here.  Re-record (only for an
 intended change of output) with
 
@@ -84,6 +85,8 @@ def digests():
         out[f"pairs-G-62-{m}"] = pairs_csv(order_vertices(design))
         out[f"json-G-62-{m}"] = dumps_design(design, family="G")
     out["dot-H-62"] = to_dot(gen_H(62, 100))
+    out["dot-G-62-777"] = to_dot(gen_G(62, 777))
+    out["dot-M-62-672"] = to_dot(gen_M(62, 672))
     out["economy-30-40"] = cli_stdout(["economy", "--d", "30", "--m-max", "40"])
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in out.items()}
 
@@ -118,6 +121,8 @@ EXPECTED = {
     'pairs-G-62-777': 'f7302e102cc7df9aee8696dd8469d4962864d38262e02975fe2a88a5ba5f72f7',
     'json-G-62-777': '7e6e5b7ec021362a1e39719e06d2338e8fdd1ef06d05935329e683e6f404f7d0',
     'dot-H-62': '35d6066aad51ea2e7f2d8e2c8626470128ed2d2b9ac71c432655ed30a5b43952',
+    'dot-G-62-777': 'fbdd10b9484dacb26d9cdacbab3eb70c9b352e828a23fd9ea81903df78aea3c7',
+    'dot-M-62-672': 'a607eb9f2f18ae04aa07987fff5dbec166019ba915518c6f1419bb01deb7526e',
     'economy-30-40': '1dd9ae59c2cb323507a70954bc7908cb3575eba1b6de8f6c65459d7673fb1a29',
 }
 

@@ -9,7 +9,7 @@ from eqdesign.effects import (build_incidence, elementary_effects, embed,
 from eqdesign.families import gen_G, gen_path
 from eqdesign.poly import DesignPoly
 
-from conftest import brute_direction_pairs
+from conftest import brute_direction_pairs, sample_base_reference
 
 X1, X2, X3, X4 = 0b0001, 0b0010, 0b0100, 0b1000
 
@@ -19,14 +19,14 @@ E42 = DesignPoly.of(4, [0, X1, X2, X1 | X2, X1 | X2 | X3, X1 | X2 | X4,
 
 def test_order_vertices_worked_example():
     od = order_vertices(E42)
-    assert od.vertices.tolist() == [0, X1, X2, X1 | X2, X1 | X2 | X3, X1 | X2 | X4,
+    assert od.ordered_terms.tolist() == [0, X1, X2, X1 | X2, X1 | X2 | X3, X1 | X2 | X4,
                                     X1 | X2 | X3 | X4]
     assert len(od) == 7
 
 
 def test_order_single_and_lex():
-    assert order_vertices(DesignPoly.of(3, [0])).vertices.tolist() == [0]
-    assert order_vertices(DesignPoly.of(2, [X2, X1])).vertices.tolist() == [X1, X2]
+    assert order_vertices(DesignPoly.of(3, [0])).ordered_terms.tolist() == [0]
+    assert order_vertices(DesignPoly.of(2, [X2, X1])).ordered_terms.tolist() == [X1, X2]
     with pytest.raises(ValueError):
         order_vertices(DesignPoly.zero(2))
 
@@ -53,7 +53,7 @@ def test_incidence_sign_after_mirror():
     od = order_vertices(design)
     for i in range(1, 5):
         for row, col, sign in build_incidence(od, i).pairs:
-            lower_first = not (od.vertices[row - 1] >> (i - 1)) & 1
+            lower_first = not (od.ordered_terms[row - 1] >> (i - 1)) & 1
             assert sign == (1 if lower_first else -1)
 
 
@@ -66,10 +66,10 @@ def test_incidence_matches_brute_force():
         od = order_vertices(DesignPoly.of(d, (int(t) for t in terms)))
         for i in range(1, d + 1):
             inc = build_incidence(od, i)
-            got = {(od.vertices[min(r, c) - 1] & ~(1 << (i - 1)),
-                    od.vertices[min(r, c) - 1] | (1 << (i - 1)))
+            got = {(od.ordered_terms[min(r, c) - 1] & ~(1 << (i - 1)),
+                    od.ordered_terms[min(r, c) - 1] | (1 << (i - 1)))
                    for r, c, _ in inc.pairs}
-            assert got == brute_direction_pairs(od.vertices, i)
+            assert got == brute_direction_pairs(od.ordered_terms, i)
             rows = [r for r, _, _ in inc.pairs]
             assert len(rows) == len(set(rows))
 
@@ -134,6 +134,24 @@ def test_sample_base():
         base = sample_base(6, 2 / 3, 4, rng)
         assert all(b in (0.0, pytest.approx(1 / 3)) for b in base)
         embed(order_vertices(gen_path(6)), base, 2 / 3)  # precondition holds
+
+
+def test_sample_base_matches_listed_grid():
+    for levels in (*range(2, 40), 100, 1001, 4096):
+        for delta in (1.0, 0.999, 0.75, 2 / 3, 0.5, 1 / 3, 0.1, 1e-9):
+            for seed in range(5):
+                got = sample_base(7, delta, levels, np.random.default_rng(seed))
+                want = sample_base_reference(7, delta, levels, np.random.default_rng(seed))
+                assert got == want, (levels, delta, seed)
+
+
+def test_sample_base_huge_levels():
+    # the grid is never listed: 10^12 levels cost one bisection
+    levels = 10 ** 12
+    base = sample_base(20, 2 / 3, levels, np.random.default_rng(0))
+    assert all(0 <= b <= 1 / 3 + 1e-9 for b in base)
+    assert len(set(base)) == 20
+    assert all(round(b * (levels - 1)) / (levels - 1) == b for b in base)
 
 
 def test_sample_base_infeasible():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqdesign import families, poly
+from eqdesign import poly
 from eqdesign.families import (CACHE_SIZE, FAMILIES, MAX_DESIGN_VERTICES, alpha_h,
                                economy_limits, gen_G, gen_H, gen_M, gen_path,
                                generate, leaf_counts, min_size_oracle,
@@ -289,7 +289,7 @@ def test_designs_connected():
 
 
 def test_caches_are_bounded():
-    caches = (gen_G, gen_H, families._gen_H2, gen_M)
+    caches = (gen_G, gen_H, gen_M)
     for cache in caches:
         assert cache.cache_info().maxsize == CACHE_SIZE
         cache.cache_clear()
@@ -302,8 +302,8 @@ def test_caches_are_bounded():
             except ValueError:
                 pass  # outside the family's domain
     infos = [cache.cache_info() for cache in caches]
-    assert [info.hits for info in infos] == [584, 1492, 14, 0]
-    assert [info.misses - info.currsize for info in infos] == [0, 0, 0, 0]
+    assert [info.hits for info in infos] == [584, 1492, 0]
+    assert [info.misses - info.currsize for info in infos] == [0, 0, 0]
     for m in range(1, 1 << 11):
         gen_G(12, m)
     assert gen_G.cache_info().currsize == CACHE_SIZE
@@ -317,7 +317,7 @@ def test_generate_leaves_edges_uncomputed(monkeypatch):
     def no_search(*args):
         raise AssertionError("family construction searched for edges")
 
-    for cache in (gen_G, gen_H, families._gen_H2, gen_M):
+    for cache in (gen_G, gen_H, gen_M):
         cache.cache_clear()
     monkeypatch.setattr(poly, "edge_index", no_search)
     for family, d, m in (("G", 20, 4), ("G", 30, 200), ("H", 30, 200), ("M", 20, 4),
@@ -325,5 +325,5 @@ def test_generate_leaves_edges_uncomputed(monkeypatch):
         design = generate(family, d, m)
         assert "edge_arrays" not in design.__dict__
         assert "edge_arrays" not in design.mirror(1).__dict__
-    for cache in (gen_G, gen_H, families._gen_H2, gen_M):
+    for cache in (gen_G, gen_H, gen_M):
         cache.cache_clear()

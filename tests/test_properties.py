@@ -1,6 +1,7 @@
 """Property-based checks of the algebraic invariants behind the design families,
 and fuzzing of the two parsers of outside input."""
 import json
+import math
 import numbers
 
 import numpy as np
@@ -120,10 +121,10 @@ def test_incidence_pairs_per_direction(arg):
         assert len(inc.pairs) == m
         rows = [r for r, _, _ in inc.pairs]
         assert len(rows) == len(set(rows))
-        got = {(od.vertices[r - 1] & ~(1 << (i - 1)) if s == 1 else od.vertices[c - 1] & ~(1 << (i - 1)),
-                od.vertices[r - 1] | (1 << (i - 1)) if s == 1 else od.vertices[c - 1] | (1 << (i - 1)))
+        got = {(od.ordered_terms[r - 1] & ~(1 << (i - 1)) if s == 1 else od.ordered_terms[c - 1] & ~(1 << (i - 1)),
+                od.ordered_terms[r - 1] | (1 << (i - 1)) if s == 1 else od.ordered_terms[c - 1] | (1 << (i - 1)))
                for r, c, s in inc.pairs}
-        assert got == brute_direction_pairs(od.vertices, i)
+        assert got == brute_direction_pairs(od.ordered_terms, i)
 
 
 @settings(max_examples=50)
@@ -186,6 +187,8 @@ def test_config_from_dict_is_typed_or_rejected(obj):
     for name in REAL_FIELDS:
         assert isinstance(getattr(cfg, name), numbers.Real)
         assert not isinstance(getattr(cfg, name), bool)
+    assert 0 <= cfg.tau0 <= 1
+    assert 0 <= cfg.rho < math.inf and math.isfinite(float(cfg.rho))
     assert cfg.family in FAMILIES
 
 
@@ -228,8 +231,8 @@ def test_wide_permute_matches_bit_loop(p, data):
 @given(wide_design_polys(min_size=1))
 def test_wide_order_and_incidence_match_references(p):
     od = order_vertices(p)
-    assert od.vertices.dtype == np.int64
-    vertices = od.vertices.tolist()
+    assert od.ordered_terms.dtype == np.int64
+    vertices = od.ordered_terms.tolist()
     assert vertices == grlex_reference(term_set(p))
     for i in range(1, p.dim + 1):
         pairs = build_incidence(od, i).pairs
@@ -246,7 +249,7 @@ def test_wide_embed_matches_reference(p, delta, data):
     base = data.draw(st.lists(st.sampled_from(grid), min_size=p.dim, max_size=p.dim))
     points = embed(od, base, delta).points
     assert points.shape == (len(p), p.dim)
-    assert points.tolist() == embed_reference(od.vertices.tolist(), base, delta)
+    assert points.tolist() == embed_reference(od.ordered_terms.tolist(), base, delta)
 
 
 def test_blocked_pass_matches_references_across_blocks():
@@ -261,7 +264,7 @@ def test_blocked_pass_matches_references_across_blocks():
                     for i in range(62))
     assert design.edge_profile() == profile
     od = order_vertices(design)
-    vertices = od.vertices.tolist()
+    vertices = od.ordered_terms.tolist()
     assert vertices == grlex_reference(terms)
     for i in range(1, 63):
         assert build_incidence(od, i).pairs == incidence_reference(vertices, i)
@@ -433,9 +436,9 @@ def test_inherited_edges_match_a_fresh_search(p, data):
         assert sorted(edge_triples(design.edge_arrays)) == \
             edge_triples(edge_index(design.sorted_terms, design.dim))
     od = order_vertices(image)
-    searched = order_vertices(DesignPoly(image.dim, image.sorted_terms)).all_pairs
-    for got, want in zip(od.all_pairs, searched):
+    searched = order_vertices(DesignPoly(image.dim, image.sorted_terms)).grlex_pairs
+    for got, want in zip(od.grlex_pairs, searched):
         assert np.array_equal(got, want)
-    vertices = od.vertices.tolist()
+    vertices = od.ordered_terms.tolist()
     for i in range(1, p.dim + 1):
         assert build_incidence(od, i).pairs == incidence_reference(vertices, i)

@@ -99,6 +99,14 @@ def test_run_screen_counts():
     assert path.n_evals == 12 * 21
 
 
+def test_run_screen_with_a_billion_levels():
+    # the grid is bisected, never listed
+    rep = run_screen(config_from_dict({"seed": 0, "levels": 10 ** 9}))
+    assert rep.n_evals == 147
+    for meta in rep.replicates:
+        assert all(0 <= b <= 1 - meta.delta + 1e-9 for b in meta.base_point)
+
+
 def test_run_screen_reproducible():
     a = run_screen(ScreenConfig(seed=123))
     b = run_screen(ScreenConfig(seed=123))
@@ -126,8 +134,8 @@ def test_run_screen_custom_function_other_dim():
 def _first_replicate_vertex(cfg, k):
     """Binary word of the k-th vertex (0-based) of run_screen's first replicate."""
     rng = np.random.default_rng(cfg.seed)
-    od = order_vertices(randomize(generate(cfg.family, cfg.d, cfg.m), rng)[0])
-    return mono_str(int(od.vertices[k]), cfg.d)
+    design = order_vertices(randomize(generate(cfg.family, cfg.d, cfg.m), rng)[0])
+    return mono_str(int(design.ordered_terms[k]), cfg.d)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -163,6 +171,10 @@ def test_config_validation():
         ScreenConfig(r=1, seed=0).validate()
     with pytest.raises(ValueError, match="family"):
         ScreenConfig(family="X", seed=0).validate()
+    with pytest.raises(ValueError, match="tau0 must be in"):
+        ScreenConfig(tau0=float("nan"), seed=0).validate()
+    with pytest.raises(ValueError, match="rho must be finite"):
+        ScreenConfig(rho=float("inf"), seed=0).validate()
     cfg = config_from_dict({"seed": 5, "m": 4, "r": 3, "family": "M"})
     assert cfg.d == 20 and cfg.delta == pytest.approx(2 / 3)
 
