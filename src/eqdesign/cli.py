@@ -20,16 +20,29 @@ EXIT_IO = 3
 
 
 def write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write through a temporary file renamed over path, so that a failed write
+    leaves an earlier file whole; exit EXIT_IO if path cannot be written."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-", text=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
+    finally:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+def _emit(path, text: str) -> None:
+    """Write text to path, or to stdout when no path is given."""
+    if path:
+        write_atomic(path, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _load_design(path: str):
@@ -54,10 +67,7 @@ def cmd_generate(args) -> int:
         text = poly.dumps_design(design, family=args.family, m=args.m)
     else:
         text = poly.to_dot(design, name=f"{args.family}_{args.d}_{args.m}")
-    if args.out:
-        write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, text)
     print(f"size={len(design)} predicted_size={predicted} economy={gamma}")
     return EXIT_OK
 
@@ -106,10 +116,7 @@ def cmd_economy(args) -> int:
         design = families.generate(family, d, m)
         lines.append(f"{family},{d},{m},{len(design)},{predicted},{design.economy(m)}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, text)
     return EXIT_OK
 
 
@@ -119,10 +126,7 @@ def cmd_pairs(args) -> int:
         print("error: empty design has no pairs", file=sys.stderr)
         return EXIT_USAGE
     text = effects.pairs_csv(effects.order_vertices(design))
-    if args.out:
-        write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, text)
     return EXIT_OK
 
 

@@ -3,10 +3,10 @@ incidence, randomized replication, geometric embedding, and the mu/mu*/sigma
 statistics pooled over replicates.
 
 Every step works on arrays.  Ordering, incidence and embedding use the
-design's int64 vertex arrays, and a randomized replicate reads its incidence
-off the edges it inherits from its base design.  An effect is a gather from
-the function values; the statistics are passes over all directions at once,
-summed left to right so that reports are reproducible to the last bit.
+design's int64 vertices and their bit matrix; a randomized replicate reads
+its incidence off the edges it inherits from its base design.  An effect is
+a gather from the function values; the statistics are passes over all
+directions at once, summed left to right so reports are reproducible.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import DesignPoly, _frozen, format_words
+from .poly import DesignPoly, format_words, to_bits
 
 
 def order_vertices(design: DesignPoly) -> DesignPoly:
@@ -84,8 +84,7 @@ def randomize(design: DesignPoly, rng: np.random.Generator):
     d = design.dim
     s = int(rng.integers(0, 1 << d))
     perm = tuple(int(p) + 1 for p in rng.permutation(d))
-    design.edge_arrays  # computed once per design; every replicate inherits them
-    return design.mirror(s).permute(perm), s, perm
+    return design.image(s, perm), s, perm
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,13 +104,14 @@ def embed(design: DesignPoly, base: Sequence[float], delta: float) -> Replicated
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     if len(base) != d:
         raise ValueError(f"base point has {len(base)} coordinates, expected {d}")
-    for x in base:
+    for i, x in enumerate(base, 1):
         if x < -_EPS or x > 1 - delta + _EPS:
             raise ValueError(f"base coordinate {x} outside [0, 1-delta]")
+        if min(1.0, x + delta) == x:
+            raise ValueError(f"delta={delta} does not move base coordinate {i} from {x}")
     # coordinate i of a point is one of two values, min(1, base[i] + delta * bit)
     levels = np.array([[min(1.0, b + delta * bit) for b in base] for bit in (0, 1)])
-    columns = np.arange(d)
-    points = levels[(design.ordered_terms[:, None] >> columns) & 1, columns]
+    points = levels[to_bits(design.ordered_terms)[:, :d], np.arange(d)]
     return ReplicatedDesign(points=points)
 
 
@@ -192,8 +192,9 @@ def pooled_stats(samples: Sequence[Sequence[Sequence[float]]],
             raise ValueError("between-replicate estimator needs >= 2 replicates")
         means = _total(effects) / m
         var = _total(_square(means - (_total(means) / r)[:, None])) / (r - 1)
+    effects.flags.writeable = False
     return FactorStats(mu=tuple(mean.tolist()), mu_star=tuple(mu_star.tolist()),
-                       sigma=tuple(np.sqrt(var).tolist()), effects=_frozen(effects))
+                       sigma=tuple(np.sqrt(var).tolist()), effects=effects)
 
 
 def pairs_csv(design: DesignPoly) -> str:

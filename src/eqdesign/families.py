@@ -212,14 +212,8 @@ def min_size_oracle(d: int, m: int) -> Tuple[int, DesignPoly]:
     for size in range(1, (1 << d) + 1):
         for subset in itertools.combinations(vertices, size):
             chosen = set(subset)
-            ok = True
-            for i in range(d):
-                bit = 1 << i
-                count = sum(1 for v in subset if not v & bit and v | bit in chosen)
-                if count != m:
-                    ok = False
-                    break
-            if ok:
+            if all(sum(1 for v in subset if not v & bit and v | bit in chosen) == m
+                   for bit in (1 << i for i in range(d))):
                 return size, DesignPoly.of(d, subset)
     raise AssertionError("unreachable: the full hypercube is always equitable")
 

@@ -10,10 +10,10 @@ computations.
 Since d <= 62, every monomial fits in an int64, and a design is one strictly
 increasing int64 array of its monomials.  Every operation is an array pass:
 mirror is an XOR and a sort, union a merge, shift a left shift, relabelling
-a bit gather, and the edge counts, graded-lex order and binary-word
-(de)serialization work on the whole array at once.  Mirror and relabelling
-are automorphisms of Q_d, so once a design's edges are found, the designs
-they make inherit them without a new search.
+a column gather on the (n, 64) bit matrix, and the edge counts, graded-lex
+order and binary-word (de)serialization work on the whole array at once.
+A randomized replicate, a reflection then a relabelling, is an automorphism
+of Q_d, so `image` carries the base design's edges to it without a new search.
 """
 from __future__ import annotations
 
@@ -31,8 +31,8 @@ MAX_DIM = 62
 # would allocate hundreds of millions of ints
 MAX_ENUM_DIM = 26
 
-# vertex-direction cells per block in the array passes over all d directions;
-# bounds their temporaries to a few hundred kB whatever the design's size
+# vertex-direction cells per block in edge_index's pass over all d directions;
+# bounds its temporaries to a few hundred kB whatever the design's size
 BLOCK_CELLS = 1 << 16
 
 
@@ -88,6 +88,19 @@ def common_multiplicity(profile: Sequence[int]) -> Optional[int]:
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def to_bits(values: np.ndarray) -> np.ndarray:
+    """The (n, 64) uint8 bit matrix of n int64 vertices: column i holds bit i."""
+    octets = values.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, bitorder="little")
+
+
+def from_bits(bits: np.ndarray) -> np.ndarray:
+    """The int64 vertices of an (n, k <= 64) uint8 bit matrix; inverse of to_bits."""
+    octets = np.zeros((len(bits), 8), dtype=np.uint8)
+    octets[:, :(bits.shape[1] + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return octets.view("<i8").ravel()
 
 
 def edge_index(values: np.ndarray, dim: int) -> tuple:
@@ -205,14 +218,6 @@ class DesignPoly:
         return _frozen(np.argsort(np.bitwise_count(self.sorted_terms), kind="stable"))
 
     @cached_property
-    def grlex_position(self) -> np.ndarray:
-        """Position in graded-lex order of each term of sorted_terms: the
-        inverse of grlex_index."""
-        position = np.empty(len(self), dtype=np.int64)
-        position[self.grlex_index] = np.arange(len(self))
-        return _frozen(position)
-
-    @cached_property
     def ordered_terms(self) -> np.ndarray:
         """Terms in canonical graded-lex order (degree, then integer value), as int64."""
         return _frozen(self.sorted_terms[self.grlex_index])
@@ -223,8 +228,8 @@ class DesignPoly:
         positions in sorted_terms of its endpoints, the lower one having the
         bit unset, as read-only int64 arrays in no fixed order.
 
-        Computed by edge_index on first request, or carried into the result
-        of mirror and permute when the design they start from has them.
+        Computed by edge_index on first request, or carried from the base
+        design into the result of its `image`.
         """
         return tuple(map(_frozen, edge_index(self.sorted_terms, self.dim)))
 
@@ -237,38 +242,14 @@ class DesignPoly:
         graded-lex order: row is always the lower endpoint and col the upper.
         """
         direction, lower, upper = self.edge_arrays
-        rows = self.grlex_position[lower]
+        position = np.empty(len(self), dtype=np.int64)  # of each term in graded-lex order
+        position[self.grlex_index] = np.arange(len(self))
+        rows = position[lower]
         # by direction, then row: one sort of a combined key (rows < len(self))
         order = np.argsort(direction * len(self) + rows, kind="stable")
         starts = np.zeros(self.dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(direction, minlength=self.dim), out=starts[1:])
-        return (_frozen(rows[order]), _frozen(self.grlex_position[upper[order]]),
-                starts.tolist())
-
-    def _image(self, values: np.ndarray, flips: int = 0,
-               directions: Optional[np.ndarray] = None) -> "DesignPoly":
-        """The design on `values`, where values[k] is the image of
-        sorted_terms[k] under an automorphism of Q_dim: a reflection by the
-        monomial `flips`, then the relabelling of direction i as
-        directions[i].  Once this design's edges are computed, the image
-        inherits them: endpoints swap on the reflected directions and every
-        position follows the sort.  Otherwise it is a plain sort.
-        """
-        if "edge_arrays" not in self.__dict__:
-            return DesignPoly(self.dim, np.sort(values, kind="stable"))
-        order = np.argsort(values, kind="stable")
-        image = DesignPoly(self.dim, values[order])
-        position = np.empty_like(order)
-        position[order] = np.arange(len(order))
-        direction, lower, upper = self.edge_arrays
-        if flips:
-            swap = ((flips >> direction) & 1).astype(bool)
-            lower, upper = np.where(swap, upper, lower), np.where(swap, lower, upper)
-        if directions is not None:
-            direction = directions[direction]
-        image.__dict__["edge_arrays"] = tuple(map(_frozen, (direction, position[lower],
-                                                            position[upper])))
-        return image
+        return _frozen(rows[order]), _frozen(position[upper[order]]), starts.tolist()
 
     def _require_same_dim(self, other: "DesignPoly") -> None:
         if self.dim != other.dim:
@@ -279,7 +260,7 @@ class DesignPoly:
     def mirror(self, s: int) -> "DesignPoly":
         """Multiply by monomial s: reflect along every direction present in s."""
         check_monomial(s, self.dim)
-        return self._image(self.sorted_terms ^ s, flips=s)
+        return DesignPoly(self.dim, np.sort(self.sorted_terms ^ s, kind="stable"))
 
     def scalar(self, other: "DesignPoly") -> int:
         """Scalar product = size of the intersection of the two vertex sets."""
@@ -321,19 +302,35 @@ class DesignPoly:
         absent[self.sorted_terms] = False
         return DesignPoly(self.dim, np.flatnonzero(absent).astype(np.int64, copy=False))
 
-    def permute(self, perm: Sequence[int]) -> "DesignPoly":
-        """Relabel directions: bit i moves to position perm[i]-1 (perm is 1-based)."""
+    def _relabel(self, values: np.ndarray, perm: Sequence[int]) -> np.ndarray:
+        """`values` with bit i moved to position perm[i]-1 (perm is 1-based)."""
         if sorted(perm) != list(range(1, self.dim + 1)):
             raise ValueError(f"not a permutation of 1..{self.dim}: {list(perm)!r}")
-        values = self.sorted_terms.copy()
-        shifts = np.arange(self.dim, dtype=np.int64)
-        targets = np.asarray(perm, dtype=np.int64) - 1
-        step = max(1, BLOCK_CELLS // self.dim)
-        for start in range(0, len(values), step):
-            block = values[start:start + step, None]
-            # distinct powers of two, so the sum is their bitwise or
-            values[start:start + step] = (((block >> shifts) & 1) << targets).sum(axis=1)
-        return self._image(values, directions=targets)
+        # bit j of a result is bit i of its value where perm[i] = j+1
+        return from_bits(np.take(to_bits(values), np.argsort(perm), axis=1))
+
+    def permute(self, perm: Sequence[int]) -> "DesignPoly":
+        """Relabel directions: bit i moves to position perm[i]-1 (perm is 1-based)."""
+        values = self._relabel(self.sorted_terms, perm)
+        return DesignPoly(self.dim, np.sort(values, kind="stable"))
+
+    def image(self, s: int, perm: Sequence[int]) -> "DesignPoly":
+        """self.mirror(s).permute(perm) in one pass, carrying this design's edges:
+        both maps are automorphisms of Q_dim, so an edge's endpoints swap when
+        s holds its direction, direction i becomes perm[i]-1, and every
+        position follows the sort."""
+        check_monomial(s, self.dim)
+        values = self._relabel(self.sorted_terms ^ s, perm)
+        order = np.argsort(values, kind="stable")
+        image = DesignPoly(self.dim, values[order])
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        direction, lower, upper = self.edge_arrays
+        swap = ((s >> direction) & 1).astype(bool)
+        lower, upper = np.where(swap, upper, lower), np.where(swap, lower, upper)
+        image.__dict__["edge_arrays"] = tuple(map(_frozen, (
+            np.asarray(perm)[direction] - 1, position[lower], position[upper])))
+        return image
 
     def shift(self, k: int, new_dim: int) -> "DesignPoly":
         """Rename every variable index i to i+k, in ambient dimension new_dim."""
@@ -362,9 +359,7 @@ class DesignPoly:
 
 def format_words(values: np.ndarray, dim: int) -> list:
     """mono_str of every int64 term in `values` (all in Q_dim), in one array pass."""
-    octets = values.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-    bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :dim]
-    text = (bits + ord("0")).tobytes().decode("ascii")
+    text = (to_bits(values)[:, :dim] + ord("0")).tobytes().decode("ascii")
     return [text[k:k + dim] for k in range(0, len(text), dim)]
 
 
@@ -378,9 +373,7 @@ def _parse_words(words: list, text: str, d) -> Optional[np.ndarray]:
     chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, d)
     if np.any((chars | 1) != ord("1")):  # only '0' and '1' survive setting bit 0
         return None
-    bits = np.zeros((len(words), 64), dtype=np.uint8)
-    bits[:, :d] = chars - ord("0")
-    return np.packbits(bits, axis=1, bitorder="little").view("<i8").ravel()
+    return from_bits(chars - ord("0"))
 
 
 def design_to_dict(design: DesignPoly, family: Optional[str] = None,

@@ -18,8 +18,12 @@ import numpy as np
 
 from .effects import (ESTIMATORS, FactorStats, build_incidence, elementary_effects,
                       embed, order_vertices, pooled_stats, randomize, sample_base)
-from .families import check_domain, generate
+from .families import generate, predicted_size
 from .poly import mono_str
+
+# a screen's memory budget in point coordinates, |S| * d: 256 MB of float
+# points; validate refuses a larger screen before anything is built
+MAX_SCREEN_CELLS = 1 << 25
 
 # coordinates given the saturating rational transform instead of the linear one
 RATIONAL_COORDS = (3, 5, 7)
@@ -119,7 +123,10 @@ class ScreenConfig:
         if problems:
             raise ValueError("invalid screen config: " + "; ".join(problems))
         try:
-            check_domain(self.family, self.d, self.m)
+            cells = predicted_size(self.family, self.d, self.m) * self.d
+            if cells > MAX_SCREEN_CELLS:
+                problems.append(f"{self.family}({self.d}, {self.m}) has {cells} point "
+                                f"coordinates, above the budget of {MAX_SCREEN_CELLS}")
         except ValueError as exc:
             problems.append(str(exc))
         if self.r < 2:

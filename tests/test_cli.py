@@ -244,3 +244,57 @@ def test_screen_rejects_non_finite_function(tmp_path, capsys, monkeypatch):
     code, _, stderr = run_cli(capsys, "screen", "--config", str(cfg), "--out", str(out))
     assert code == 2 and "func returned nan at vertex" in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--family", "G", "--d", "3", "--out", "{missing}"),
+    ("economy", "--d", "4", "--out", "{missing}"),
+    ("pairs", "--in", "{design}", "--out", "{missing}"),
+    ("screen", "--config", "{config}", "--out", "{missing}"),
+    ("screen", "--config", "{config}", "--out", "{report}", "--metadata", "{missing}"),
+    ("screen", "--config", "{config}", "--out", "{report}", "--scatter", "{missing}"),
+], ids=["generate", "economy", "pairs", "screen-out", "screen-metadata", "screen-scatter"])
+def test_unwritable_output_exits_3(tmp_path, capsys, argv):
+    paths = {"missing": tmp_path / "no" / "such" / "dir" / "out.txt",
+             "design": tmp_path / "g.json", "config": tmp_path / "cfg.json",
+             "report": tmp_path / "r.csv"}
+    paths["design"].write_text(dumps_design(generate("G", 3, 1)))
+    paths["config"].write_text(json.dumps({"seed": 0}))
+    code, _, stderr = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == cli.EXIT_IO
+    assert stderr.startswith(f"error: cannot write {paths['missing']}: ")
+    assert not (tmp_path / "no").exists()
+
+
+def test_failed_write_leaves_the_target_whole(tmp_path):
+    target = tmp_path / "report.csv"
+    target.write_bytes(b"factor,mu\n1,0.5\n")
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate cannot be encoded
+        cli.write_atomic(str(target), "factor,mu\n" * 1000 + "\udc80")
+    assert target.read_bytes() == b"factor,mu\n1,0.5\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]  # no .tmp-* left
+    cli.write_atomic(str(target), "new\n")
+    assert target.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+def test_screen_refuses_a_delta_that_moves_no_coordinate(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 0, "delta": 1e-300}))
+    out = tmp_path / "r.csv"
+    code, _, stderr = run_cli(capsys, "screen", "--config", str(cfg), "--out", str(out))
+    assert code == cli.EXIT_USAGE and "does not move base coordinate" in stderr
+    assert not out.exists()
+
+
+def test_screen_refuses_a_screen_above_the_memory_budget(tmp_path, capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the screen built a design")
+
+    monkeypatch.setattr(screening, "generate", no_build)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 0, "d": 62, "m": 65536, "family": "G"}))
+    code, _, stderr = run_cli(capsys, "screen", "--config", str(cfg),
+                              "--out", str(tmp_path / "r.csv"))
+    assert code == cli.EXIT_USAGE
+    assert stderr.startswith("error: invalid screen config") and "above the budget" in stderr

@@ -127,6 +127,16 @@ def test_embed():
         embed(od, [0.0], 0.25)
 
 
+@pytest.mark.parametrize("delta", [1e-17, 1e-300])
+def test_embed_refuses_a_delta_that_moves_no_coordinate(delta):
+    # 0.0 + delta is a new float, 1/3 + delta is 1/3 again: coordinate 2 would
+    # give zero effects whatever the function
+    od = order_vertices(gen_path(3))
+    with pytest.raises(ValueError, match=r"does not move base coordinate 2 from 0\.333"):
+        embed(od, [0.0, 1 / 3, 0.0], delta)
+    assert embed(od, [0.0] * 3, delta).points[-1].tolist() == [delta] * 3
+
+
 def test_sample_base():
     rng = np.random.default_rng(3)
     assert sample_base(4, 1.0, 2, rng) == (0.0,) * 4

@@ -10,7 +10,7 @@ from eqdesign.families import (CACHE_SIZE, FAMILIES, MAX_DESIGN_VERTICES, alpha_
                                predicted_size, predicted_size_G,
                                predicted_size_H, predicted_size_M, q_min)
 from eqdesign.poly import MAX_DIM, DesignPoly, mono_from_vars
-from eqdesign.screening import ScreenConfig
+from eqdesign.screening import MAX_SCREEN_CELLS, ScreenConfig
 
 from conftest import brute_edge_profile, term_set
 
@@ -251,7 +251,9 @@ def test_domain_agreement_grid(family):
         for m in sorted({0, 1, 2, 3, 4, 5, top, top + 1}):
             sized = _accepts(lambda: predicted_size(family, d, m))
             valid = _accepts(lambda: ScreenConfig(d=d, m=m, family=family, seed=0).validate())
-            assert sized == valid == _in_domain(family, d, m), (family, d, m)
+            assert sized == _in_domain(family, d, m), (family, d, m)
+            # a screen also keeps to the memory budget
+            assert valid == (sized and predicted_size(family, d, m) * d <= MAX_SCREEN_CELLS)
             if not sized:
                 assert not _accepts(lambda: generate(family, d, m)), (family, d, m)
             elif predicted_size(family, d, m) <= 5000:

@@ -1,6 +1,7 @@
-"""Unused-import check over the package and the scripts, with the standard
-library's ast: an imported name the module never reads fails.  The package
-__init__ imports names to re-export them, so it is exempt."""
+"""Import checks over the package and the scripts, with the standard
+library's ast: an imported name the module never reads fails, and so does a
+package module importing a sibling's underscore (private) name.  The package
+__init__ imports names to re-export them, so it is exempt from the first."""
 import ast
 from pathlib import Path
 
@@ -25,6 +26,14 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
+def private_imports(source: str) -> list:
+    """(line, name) of each underscore name imported from the package."""
+    return sorted((node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").startswith("eqdesign"))
+                  for alias in node.names if alias.name.startswith("_"))
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"cli.py", "effects.py", "families.py", "poly.py",
                                          "screening.py", "screen_experiment.py"}
@@ -38,3 +47,14 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "import os\nfrom typing import Optional, Sequence\nx: Optional[int] = os.sep\n"
     assert unused_imports(source) == [(2, "Sequence")]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/eqdesign/*.py")), ids=lambda p: p.name)
+def test_no_private_imports_between_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_private_import_is_reported():
+    source = ("from .poly import DesignPoly, _frozen\nfrom eqdesign.cli import _emit\n"
+              "from os import _exit\nfrom . import effects\n")
+    assert private_imports(source) == [(1, "_frozen"), (2, "_emit")]

@@ -424,17 +424,16 @@ def test_wide_edge_index_matches_bit_loop(p):
 def test_inherited_edges_match_a_fresh_search(p, data):
     s = data.draw(monomials_in(p.dim))
     perm = data.draw(permutations_of(p.dim))
-    # a design whose edges were never asked for passes none on
-    assert "edge_arrays" not in p.mirror(s).permute(perm).__dict__
     p.edge_arrays
-    mirrored = p.mirror(s)
-    image = mirrored.permute(perm)
-    relabelled = p.permute(perm)
-    for design in (mirrored, image, relabelled,
-                   relabelled.mirror(permute_reference(s, perm))):
-        assert "edge_arrays" in design.__dict__  # carried, not searched
-        assert sorted(edge_triples(design.edge_arrays)) == \
-            edge_triples(edge_index(design.sorted_terms, design.dim))
+    image = p.image(s, perm)
+    assert image == p.mirror(s).permute(perm)
+    assert term_set(image) == {permute_reference(t ^ s, perm) for t in term_set(p)}
+    # only the replicate image carries edges; mirror and permute are set maps
+    assert "edge_arrays" in image.__dict__  # carried, not searched
+    for design in (p.mirror(s), p.permute(perm)):
+        assert "edge_arrays" not in design.__dict__
+    assert sorted(edge_triples(image.edge_arrays)) == \
+        edge_triples(edge_index(image.sorted_terms, image.dim))
     od = order_vertices(image)
     searched = order_vertices(DesignPoly(image.dim, image.sorted_terms)).grlex_pairs
     for got, want in zip(od.grlex_pairs, searched):

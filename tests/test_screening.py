@@ -6,8 +6,10 @@ import pytest
 from eqdesign.effects import FactorStats, order_vertices, randomize
 from eqdesign.families import generate
 from eqdesign.poly import mono_str
-from eqdesign.screening import (REFERENCE_CLASSES, ScreenConfig, BenchmarkFunction,
-                                build_test_function, classify,
+from eqdesign import screening
+from eqdesign.families import predicted_size
+from eqdesign.screening import (MAX_SCREEN_CELLS, REFERENCE_CLASSES, ScreenConfig,
+                                BenchmarkFunction, build_test_function, classify,
                                 config_from_dict, run_screen, w_transform)
 
 from conftest import benchmark_coefficients_reference
@@ -177,6 +179,30 @@ def test_config_validation():
         ScreenConfig(rho=float("inf"), seed=0).validate()
     cfg = config_from_dict({"seed": 5, "m": 4, "r": 3, "family": "M"})
     assert cfg.d == 20 and cfg.delta == pytest.approx(2 / 3)
+
+
+def test_config_validation_keeps_a_screen_within_its_memory_budget(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("validate built a design")
+
+    monkeypatch.setattr(screening, "generate", no_build)
+    # G(62, 65536): 3,080,192 vertices, 1.5 GB of float points
+    assert predicted_size("G", 62, 65536) * 62 > MAX_SCREEN_CELLS
+    with pytest.raises(ValueError, match="above the budget of 33554432"):
+        ScreenConfig(d=62, m=65536, family="G", seed=0).validate()
+    # 496,384 and 544,384 vertices: one on each side of the budget
+    ScreenConfig(d=62, m=10000, family="G", seed=0).validate()
+    with pytest.raises(ValueError, match="above the budget"):
+        ScreenConfig(d=62, m=11000, family="G", seed=0).validate()
+    with pytest.raises(ValueError, match="above the budget"):
+        run_screen(ScreenConfig(d=62, m=65536, family="G", seed=0),
+                   func=lambda points: points.sum(axis=1))
+
+
+def test_run_screen_refuses_a_delta_below_float_resolution():
+    # every base coordinate is 0, 1/3 or 2/3; the last two absorb delta
+    with pytest.raises(ValueError, match="does not move base coordinate"):
+        run_screen(ScreenConfig(seed=0, delta=1e-300))
 
 
 def test_report_serialization():
