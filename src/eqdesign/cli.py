@@ -22,19 +22,29 @@ EXIT_IO = 3
 def write_atomic(path: str, text: str) -> None:
     """Write through a temporary file renamed over path, so that a failed write
     leaves an earlier file whole; exit EXIT_IO if path cannot be written."""
-    tmp = None
+    write_all([(path, text)])
+
+
+def write_all(outputs: list) -> None:
+    """write_atomic of every (path, text), all or nothing: no temporary file is
+    renamed over its path until every text is written."""
+    temps = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".tmp-", text=True)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in outputs:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".tmp-", text=True)
+            temps.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
     finally:
-        if tmp and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _emit(path, text: str) -> None:
@@ -143,11 +153,9 @@ def cmd_screen(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    write_atomic(args.out, report.to_csv())
-    if args.metadata:
-        write_atomic(args.metadata, report.metadata_json())
-    if args.scatter:
-        write_atomic(args.scatter, report.scatter_csv())
+    renders = ((args.out, report.to_csv), (args.metadata, report.metadata_json),
+               (args.scatter, report.scatter_csv))
+    write_all([(path, render()) for path, render in renders if path])
     summary = {c: report.classes.count(c) for c in ("C0", "C1", "C2")}
     print(f"n_evals={report.n_evals}")
     print("classes: " + " ".join(f"{k}={v}" for k, v in summary.items()))

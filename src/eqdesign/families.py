@@ -34,15 +34,16 @@ class LeafDecomposition:
     i_offset: int
 
 
+# gen_path, gen_G, gen_H and gen_M keep this many designs each; more than
+# the 947 gen_H entries of an economy table at d=30 up to m=200
+CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def gen_path(d: int) -> DesignPoly:
     """Staircase OAT path: 1, X1, X1X2, ..., X1...Xd.  (d,1)-equitable, size d+1."""
     check_domain("path", d, 1)
     return DesignPoly.of(d, ((1 << k) - 1 for k in range(d + 1)))
-
-
-# gen_G, gen_H and gen_M keep this many designs each; more than the
-# 947 gen_H entries of an economy table at d=30 up to m=200
-CACHE_SIZE = 1024
 
 
 def _split(lo: DesignPoly, hi: DesignPoly, d: int) -> DesignPoly:
@@ -84,8 +85,6 @@ def _gen_H2(d: int) -> DesignPoly:
 
 
 def _gen_H3(d: int) -> DesignPoly:
-    if d < 3:
-        raise ValueError(f"the m=3 base design needs d >= 3, got {d}")
     terms = [0, mono_from_vars(1, d)]
     terms += [mono_from_vars(k) for k in range(1, d + 1)]
     terms += [mono_from_vars(j, j + 1) for j in range(1, d)]

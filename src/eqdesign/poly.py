@@ -31,10 +31,6 @@ MAX_DIM = 62
 # would allocate hundreds of millions of ints
 MAX_ENUM_DIM = 26
 
-# vertex-direction cells per block in edge_index's pass over all d directions;
-# bounds its temporaries to a few hundred kB whatever the design's size
-BLOCK_CELLS = 1 << 16
-
 
 class DimensionMismatch(ValueError):
     """Operands live in different ambient dimensions."""
@@ -110,36 +106,21 @@ def edge_index(values: np.ndarray, dim: int) -> tuple:
     and the positions in `values` of its endpoints, the lower one having the
     bit unset; edges come by direction, then lower endpoint.
 
-    For direction i, the vertices with bit i unset and those with it set,
-    bit i cleared, are two sorted runs, and the edges are their common
-    keys: one searchsorted of the second run into the first.  Directions go
-    in blocks of about BLOCK_CELLS cells, each row tagged above bit dim with
-    its place in the block so that the block's runs stay sorted.
+    One pass per direction i: the vertices with bit i set, that bit cleared,
+    stay in sorted order, and one searchsorted into `values` finds each
+    one's lower endpoint where it exists.
     """
-    n = len(values)
-    step = max(1, min(BLOCK_CELLS // max(n, 1), 1 << (63 - dim)))
-    parts = []
-    for first in range(0, dim, step):
-        directions = np.arange(first, min(first + step, dim), dtype=np.int64)
-        keys = values & ~np.left_shift(1, directions)[:, None]
-        upper_cells = np.flatnonzero(keys != values)
-        lower_cells = np.flatnonzero(keys == values)
-        keys |= np.arange(len(directions))[:, None] << dim
-        keys = keys.ravel()
-        if not len(lower_cells):
-            continue
-        below, above = keys[lower_cells], keys[upper_cells]
-        pos = np.searchsorted(below, above)
-        pos[pos == len(below)] = 0  # past the last key: no match, any valid slot
-        hit = below[pos] == above
-        row, lower = np.divmod(lower_cells[pos[hit]], n)
-        parts.append((directions[row], lower, upper_cells[hit] - row * n))
-    if not parts:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    lowers, uppers = [], []
+    for i in range(dim):
+        upper = np.flatnonzero(values & (1 << i))
+        partner = values[upper] ^ (1 << i)
+        # a partner above every vertex gets len(values): clamped, it misses
+        lower = np.minimum(np.searchsorted(values, partner), len(values) - 1)
+        hit = values[lower] == partner
+        lowers.append(lower[hit])
+        uppers.append(upper[hit])
+    direction = np.repeat(np.arange(dim, dtype=np.int64), [len(run) for run in lowers])
+    return direction, np.concatenate(lowers), np.concatenate(uppers)
 
 
 def _merge(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -181,14 +162,9 @@ class DesignPoly:
         """The design on the distinct monomials among `terms`, in any order."""
         check_dim(dim)
         terms = list(terms)
-        values = np.array(terms)
-        if values.dtype != np.int64 or len(values) and (values.min() < 0
-                                                        or int(values.max()) >> dim):
-            # empty, not all ints of int64 range, or outside Q_dim: check each
-            for t in terms:
-                check_monomial(t, dim)
-            values = np.array(terms, dtype=np.int64)
-        values = np.sort(values, kind="stable")
+        for t in terms:
+            check_monomial(t, dim)
+        values = np.sort(np.array(terms, dtype=np.int64), kind="stable")
         return cls(dim, np.concatenate((values[:1], values[1:][values[1:] != values[:-1]])))
 
     @classmethod

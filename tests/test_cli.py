@@ -260,10 +260,19 @@ def test_unwritable_output_exits_3(tmp_path, capsys, argv):
              "report": tmp_path / "r.csv"}
     paths["design"].write_text(dumps_design(generate("G", 3, 1)))
     paths["config"].write_text(json.dumps({"seed": 0}))
-    code, _, stderr = run_cli(capsys, *(arg.format(**paths) for arg in argv))
-    assert code == cli.EXIT_IO
-    assert stderr.startswith(f"error: cannot write {paths['missing']}: ")
-    assert not (tmp_path / "no").exists()
+    # a screen's outputs are all or nothing: a report from before stays whole
+    for report in (None, b"factor,mu\n1,0.5\n"):
+        if report is not None:
+            paths["report"].write_bytes(report)
+        code, _, stderr = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == cli.EXIT_IO
+        assert stderr.startswith(f"error: cannot write {paths['missing']}: ")
+        assert not (tmp_path / "no").exists()
+        if report is None:
+            assert not paths["report"].exists()
+        else:
+            assert paths["report"].read_bytes() == report
+        assert not list(tmp_path.glob(".tmp-*"))
 
 
 def test_failed_write_leaves_the_target_whole(tmp_path):

@@ -291,6 +291,7 @@ def test_designs_connected():
 
 
 def test_caches_are_bounded():
+    assert gen_path.cache_info().maxsize == CACHE_SIZE
     caches = (gen_G, gen_H, gen_M)
     for cache in caches:
         assert cache.cache_info().maxsize == CACHE_SIZE
@@ -319,7 +320,7 @@ def test_generate_leaves_edges_uncomputed(monkeypatch):
     def no_search(*args):
         raise AssertionError("family construction searched for edges")
 
-    for cache in (gen_G, gen_H, gen_M):
+    for cache in (gen_path, gen_G, gen_H, gen_M):
         cache.cache_clear()
     monkeypatch.setattr(poly, "edge_index", no_search)
     for family, d, m in (("G", 20, 4), ("G", 30, 200), ("H", 30, 200), ("M", 20, 4),
@@ -327,5 +328,5 @@ def test_generate_leaves_edges_uncomputed(monkeypatch):
         design = generate(family, d, m)
         assert "edge_arrays" not in design.__dict__
         assert "edge_arrays" not in design.mirror(1).__dict__
-    for cache in (gen_G, gen_H, gen_M):
+    for cache in (gen_path, gen_G, gen_H, gen_M):
         cache.cache_clear()

@@ -1,7 +1,9 @@
-"""Import checks over the package and the scripts, with the standard
-library's ast: an imported name the module never reads fails, and so does a
-package module importing a sibling's underscore (private) name.  The package
-__init__ imports names to re-export them, so it is exempt from the first."""
+"""Import and constant checks over the package and the scripts, with the
+standard library's ast: an imported name the module never reads fails, and so
+does a package module importing a sibling's underscore (private) name, and a
+package module's UPPER_CASE constant that no package module or script reads.
+The package __init__ imports names to re-export them, so it is exempt from
+the first."""
 import ast
 from pathlib import Path
 
@@ -34,6 +36,24 @@ def private_imports(source: str) -> list:
                   for alias in node.names if alias.name.startswith("_"))
 
 
+def unused_constants(source: str, readers: list) -> list:
+    """(line, name) of each module-level UPPER_CASE constant in source that no
+    source in readers reads, by name, as an attribute, or in an import."""
+    defined = [(target.lineno, target.id) for node in ast.parse(source).body
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+               if isinstance(target, ast.Name) and target.id.isupper()]
+    read = set()
+    for node in (n for text in readers for n in ast.walk(ast.parse(text))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return [(line, name) for line, name in defined if name not in read]
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"cli.py", "effects.py", "families.py", "poly.py",
                                          "screening.py", "screen_experiment.py"}
@@ -47,6 +67,20 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "import os\nfrom typing import Optional, Sequence\nx: Optional[int] = os.sep\n"
     assert unused_imports(source) == [(2, "Sequence")]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/eqdesign/*.py")), ids=lambda p: p.name)
+def test_no_unused_constants(path):
+    readers = [p.read_text() for p in [*ROOT.glob("src/eqdesign/*.py"),
+                                       *ROOT.glob("scripts/*.py")]]
+    assert unused_constants(path.read_text(), readers) == []
+
+
+def test_unused_constant_is_reported():
+    source = ("LIMIT = 3\nSPARE: int = 4\nSHARED = 5\nBOUND = 6\n_HIDDEN = 7\n"
+              "lower = 8\nx = LIMIT\n")
+    readers = [source, "from m import SHARED\nimport m\ny = m.BOUND\n"]
+    assert unused_constants(source, readers) == [(2, "SPARE"), (5, "_HIDDEN")]
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("src/eqdesign/*.py")), ids=lambda p: p.name)

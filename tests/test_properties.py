@@ -253,7 +253,7 @@ def test_wide_embed_matches_reference(p, delta, data):
 
 
 def test_blocked_pass_matches_references_across_blocks():
-    # about 4,000 vertices at d=62: several blocks of the all-direction pass
+    # about 4,000 vertices at d=62, scattered over all 62 directions
     rng = np.random.default_rng(0)
     terms = set()
     for centre in rng.integers(0, 1 << 62, size=800, dtype=np.int64).tolist():
@@ -418,6 +418,12 @@ def test_wide_edge_index_matches_bit_loop(p):
     expected = [(i, index[v], index[v | 1 << i]) for i in range(p.dim)
                 for v in values if not v >> i & 1 and v | 1 << i in index]
     assert edge_triples(edge_index(p.sorted_terms, p.dim)) == expected
+
+
+@pytest.mark.parametrize("terms", [[], [0, 3, 5, 6, 3 << 60]], ids=["empty", "edgeless"])
+def test_edge_index_without_edges_is_three_empty_arrays(terms):
+    edges = edge_index(np.array(terms, dtype=np.int64), 62)
+    assert [(column.dtype, column.shape) for column in edges] == [(np.int64, (0,))] * 3
 
 
 @given(wide_design_polys(), st.data())

@@ -6,7 +6,7 @@ import pytest
 from eqdesign.effects import FactorStats, order_vertices, randomize
 from eqdesign.families import generate
 from eqdesign.poly import mono_str
-from eqdesign import screening
+from eqdesign import families, poly, screening
 from eqdesign.families import predicted_size
 from eqdesign.screening import (MAX_SCREEN_CELLS, REFERENCE_CLASSES, ScreenConfig,
                                 BenchmarkFunction, build_test_function, classify,
@@ -115,6 +115,29 @@ def test_run_screen_reproducible():
     assert a.stats.mu == b.stats.mu
     assert a.classes == b.classes
     assert a.replicates == b.replicates
+
+
+def test_screens_search_each_base_design_once(monkeypatch):
+    # replicates carry their base's edges, and the families cache their
+    # designs, so repeated screens of a design never search it again
+    def clear_caches():
+        for obj in vars(families).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+    searches, search = [], poly.edge_index
+
+    def counted(values, dim):
+        searches.append(len(values))
+        return search(values, dim)
+
+    clear_caches()
+    monkeypatch.setattr(poly, "edge_index", counted)
+    cycle = (("M", 4, 3), ("H", 4, 3), ("G", 4, 3), ("path", 1, 12))
+    for seed, (family, m, r) in enumerate(cycle * 2):
+        run_screen(ScreenConfig(family=family, m=m, r=r, seed=seed))
+    assert searches == [49, 60, 76, 21]
+    clear_caches()
 
 
 def test_run_screen_constant_function():
