@@ -66,12 +66,8 @@ def _load_design(path: str):
 
 
 def cmd_generate(args) -> int:
-    try:
-        design = families.generate(args.family, args.d, args.m)
-        predicted = families.predicted_size(args.family, args.d, args.m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    design = families.generate(args.family, args.d, args.m)
+    predicted = families.predicted_size(args.family, args.d, args.m)
     gamma = design.economy(args.m)
     if args.format == "json":
         text = poly.dumps_design(design, family=args.family, m=args.m)
@@ -99,13 +95,9 @@ def cmd_verify(args) -> int:
 
 def cmd_economy(args) -> int:
     d = args.d
-    try:
-        families.check_domain("G", d, 1)  # G(d, 1) exists for every valid d
-        if args.m_max is not None and args.m_max < 1:
-            raise ValueError(f"--m-max must be >= 1, got {args.m_max}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    families.check_domain("G", d, 1)  # G(d, 1) exists for every valid d
+    if args.m_max is not None and args.m_max < 1:
+        raise ValueError(f"--m-max must be >= 1, got {args.m_max}")
     m_max = min(args.m_max or 1 << (d - 1), 1 << (d - 1))
     rows, total = [], 0
     for m in range(1, m_max + 1):
@@ -147,12 +139,7 @@ def cmd_screen(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        cfg = screening.config_from_dict(obj)
-        report = screening.run_screen(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = screening.run_screen(screening.config_from_dict(obj))
     renders = ((args.out, report.to_csv), (args.metadata, report.metadata_json),
                (args.scatter, report.scatter_csv))
     write_all([(path, render()) for path, render in renders if path])
@@ -163,11 +150,7 @@ def cmd_screen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        size, witness = families.min_size_oracle(args.d, args.m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    size, witness = families.min_size_oracle(args.d, args.m)
     print(f"min_size={size}")
     print("witness: " + " ".join(poly.format_words(witness.ordered_terms, args.d)))
     return EXIT_OK
@@ -219,9 +202,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A ValueError that reaches here is bad input: exit
+    EXIT_USAGE.  Errors reading or writing files exit EXIT_IO where they
+    happen, before any ValueError (json.JSONDecodeError is one) gets here."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

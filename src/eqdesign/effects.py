@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -66,7 +67,7 @@ def elementary_effects(inc: EffectIncidence, f_values: Sequence[float],
                        delta: float) -> np.ndarray:
     """One finite difference per pair, (f(upper endpoint) - f(lower endpoint)) / delta,
     as a float array gathered from f_values (one value per vertex, in vertex order)."""
-    if delta <= 0:
+    if not delta > 0:  # also true for NaN
         raise ValueError(f"delta must be positive, got {delta}")
     f = np.asarray(f_values, dtype=float)
     try:
@@ -105,20 +106,20 @@ def embed(design: DesignPoly, base: Sequence[float], delta: float) -> Replicated
     if len(base) != d:
         raise ValueError(f"base point has {len(base)} coordinates, expected {d}")
     for i, x in enumerate(base, 1):
-        if x < -_EPS or x > 1 - delta + _EPS:
+        if not -_EPS <= x <= 1 - delta + _EPS:  # also true for NaN
             raise ValueError(f"base coordinate {x} outside [0, 1-delta]")
         if min(1.0, x + delta) == x:
             raise ValueError(f"delta={delta} does not move base coordinate {i} from {x}")
     # coordinate i of a point is one of two values, min(1, base[i] + delta * bit)
     levels = np.array([[min(1.0, b + delta * bit) for b in base] for bit in (0, 1)])
-    points = levels[to_bits(design.ordered_terms)[:, :d], np.arange(d)]
+    points = np.where(to_bits(design.ordered_terms)[:, :d].view(bool), levels[1], levels[0])
     return ReplicatedDesign(points=points)
 
 
 def sample_base(d: int, delta: float, levels: int, rng: np.random.Generator) -> tuple:
     """Draw each coordinate uniformly from the p-level grid values not exceeding 1-delta."""
-    if levels < 2:
-        raise ValueError(f"need at least 2 grid levels, got {levels}")
+    if not 2 <= levels <= sys.maxsize:  # bisect cannot search a longer range
+        raise ValueError(f"need 2 to {sys.maxsize} grid levels, got {levels}")
     # grid value k is k / (levels - 1); the feasible ones are a prefix of the grid
     n_feasible = bisect.bisect_right(range(levels), 1 - delta + _EPS,
                                      key=lambda k: k / (levels - 1))

@@ -199,33 +199,30 @@ class DesignPoly:
         return _frozen(self.sorted_terms[self.grlex_index])
 
     @cached_property
-    def edge_arrays(self) -> tuple:
-        """(direction, lower, upper): every edge's 0-based direction and the
-        positions in sorted_terms of its endpoints, the lower one having the
-        bit unset, as read-only int64 arrays in no fixed order.
-
-        Computed by edge_index on first request, or carried from the base
-        design into the result of its `image`.
-        """
-        return tuple(map(_frozen, edge_index(self.sorted_terms, self.dim)))
-
-    @cached_property
     def grlex_pairs(self) -> tuple:
         """(rows, cols, starts): every edge as two read-only int64 arrays of
         positions in ordered_terms, by direction then row, and the list of
         d+1 offsets at which each direction starts, plus the end.  An upper
         endpoint has one more degree than its lower one, so it comes later in
         graded-lex order: row is always the lower endpoint and col the upper.
+
+        Found by edge_index on first request, or carried from the base
+        design into the result of its `image`.
         """
-        direction, lower, upper = self.edge_arrays
+        direction, lower, upper = edge_index(self.sorted_terms, self.dim)
         position = np.empty(len(self), dtype=np.int64)  # of each term in graded-lex order
         position[self.grlex_index] = np.arange(len(self))
-        rows = position[lower]
+        return self._by_direction(direction, position[lower], position[upper])
+
+    def _by_direction(self, direction: np.ndarray, rows: np.ndarray,
+                      cols: np.ndarray) -> tuple:
+        """grlex_pairs from this design's edges in any order, given as each
+        edge's 0-based direction and graded-lex endpoint positions."""
         # by direction, then row: one sort of a combined key (rows < len(self))
         order = np.argsort(direction * len(self) + rows, kind="stable")
         starts = np.zeros(self.dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(direction, minlength=self.dim), out=starts[1:])
-        return _frozen(rows[order]), _frozen(position[upper[order]]), starts.tolist()
+        return _frozen(rows[order]), _frozen(cols[order]), starts.tolist()
 
     def _require_same_dim(self, other: "DesignPoly") -> None:
         if self.dim != other.dim:
@@ -263,8 +260,7 @@ class DesignPoly:
 
         Each edge is counted once, from its lower endpoint.
         """
-        direction, _, _ = self.edge_arrays
-        return tuple(np.bincount(direction, minlength=self.dim).tolist())
+        return tuple(np.diff(self.grlex_pairs[2]).tolist())
 
     def is_equitable(self) -> Optional[int]:
         """The common edge multiplicity m if all directions agree, else None."""
@@ -294,18 +290,19 @@ class DesignPoly:
         """self.mirror(s).permute(perm) in one pass, carrying this design's edges:
         both maps are automorphisms of Q_dim, so an edge's endpoints swap when
         s holds its direction, direction i becomes perm[i]-1, and every
-        position follows the sort."""
+        position follows the image's graded-lex order."""
         check_monomial(s, self.dim)
-        values = self._relabel(self.sorted_terms ^ s, perm)
+        values = self._relabel(self.ordered_terms ^ s, perm)
         order = np.argsort(values, kind="stable")
         image = DesignPoly(self.dim, values[order])
-        position = np.empty_like(order)
-        position[order] = np.arange(len(order))
-        direction, lower, upper = self.edge_arrays
+        position = np.empty_like(order)  # of each of our ordered_terms in the image's
+        position[order[image.grlex_index]] = np.arange(len(order))
+        rows, cols, starts = self.grlex_pairs
+        direction = np.repeat(np.arange(self.dim), np.diff(starts))
         swap = ((s >> direction) & 1).astype(bool)
-        lower, upper = np.where(swap, upper, lower), np.where(swap, lower, upper)
-        image.__dict__["edge_arrays"] = tuple(map(_frozen, (
-            np.asarray(perm)[direction] - 1, position[lower], position[upper])))
+        rows, cols = np.where(swap, cols, rows), np.where(swap, rows, cols)
+        image.__dict__["grlex_pairs"] = image._by_direction(
+            np.asarray(perm)[direction] - 1, position[rows], position[cols])
         return image
 
     def shift(self, k: int, new_dim: int) -> "DesignPoly":

@@ -133,8 +133,8 @@ class ScreenConfig:
             problems.append(f"r must be >= 2, got {self.r}")
         if not 0 < self.delta <= 1:
             problems.append(f"delta must be in (0,1], got {self.delta}")
-        if self.levels < 2:
-            problems.append(f"levels must be >= 2, got {self.levels}")
+        if not 2 <= self.levels <= sys.maxsize:
+            problems.append(f"levels must be in [2, {sys.maxsize}], got {self.levels}")
         if not 0 <= self.tau0 <= 1:  # also false for NaN
             problems.append(f"tau0 must be in [0,1], got {self.tau0}")
         if not 0 <= self.rho <= sys.float_info.max:  # an int past it fails float()

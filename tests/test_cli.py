@@ -195,7 +195,7 @@ def test_screen_missing_seed(tmp_path, capsys):
                                     {"seed": True}, {"family": "H", "m": 1},
                                     {"tau0": math.nan}, {"tau0": -0.1}, {"tau0": 1.5},
                                     {"rho": math.inf}, {"rho": math.nan}, {"rho": -1},
-                                    {"rho": 10 ** 400}])
+                                    {"rho": 10 ** 400}, {"levels": 2 ** 63}])
 def test_screen_rejects_bad_config(tmp_path, capsys, fields):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 0, **fields}))

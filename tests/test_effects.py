@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -100,8 +101,9 @@ def test_elementary_effects_validation():
     inc = build_incidence(od, 2)
     with pytest.raises(ValueError):
         elementary_effects(inc, [1.0, 2.0], 0.5)
-    with pytest.raises(ValueError):
-        elementary_effects(inc, [0.0] * 7, 0.0)
+    for delta in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            elementary_effects(inc, [0.0] * 7, delta)
 
 
 def test_randomize_preserves_equitability():
@@ -121,8 +123,9 @@ def test_embed():
     assert rep.points.tolist() == [[0.25, 0.5], [0.5, 0.5], [0.5, 0.75]]
     whole = embed(od, [0.0, 0.0], 1.0)
     assert whole.points.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
-    with pytest.raises(ValueError):
-        embed(od, [0.9, 0.0], 0.25)
+    for bad in (0.9, float("nan")):
+        with pytest.raises(ValueError, match="outside"):
+            embed(od, [0.0, bad], 0.25)
     with pytest.raises(ValueError):
         embed(od, [0.0], 0.25)
 
@@ -156,19 +159,21 @@ def test_sample_base_matches_listed_grid():
 
 
 def test_sample_base_huge_levels():
-    # the grid is never listed: 10^12 levels cost one bisection
-    levels = 10 ** 12
-    base = sample_base(20, 2 / 3, levels, np.random.default_rng(0))
-    assert all(0 <= b <= 1 / 3 + 1e-9 for b in base)
-    assert len(set(base)) == 20
-    assert all(round(b * (levels - 1)) / (levels - 1) == b for b in base)
+    # the grid is never listed: 10^12 levels, or the most bisect can search,
+    # cost one bisection
+    for levels in (10 ** 12, sys.maxsize):
+        base = sample_base(20, 2 / 3, levels, np.random.default_rng(0))
+        assert all(0 <= b <= 1 / 3 + 1e-9 for b in base)
+        assert len(set(base)) == 20
+        assert all(round(b * (levels - 1)) / (levels - 1) == b for b in base)
 
 
 def test_sample_base_infeasible():
     with pytest.raises(ValueError):
         sample_base(3, 2.0, 2, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        sample_base(3, 0.5, 1, np.random.default_rng(0))
+    for levels in (1, 2 ** 63):
+        with pytest.raises(ValueError, match="grid levels"):
+            sample_base(3, 0.5, levels, np.random.default_rng(0))
 
 
 def test_pooled_stats():

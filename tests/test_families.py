@@ -326,7 +326,7 @@ def test_generate_leaves_edges_uncomputed(monkeypatch):
     for family, d, m in (("G", 20, 4), ("G", 30, 200), ("H", 30, 200), ("M", 20, 4),
                          ("M", 30, 200), ("path", 20, 1)):
         design = generate(family, d, m)
-        assert "edge_arrays" not in design.__dict__
-        assert "edge_arrays" not in design.mirror(1).__dict__
+        assert "grlex_pairs" not in design.__dict__
+        assert "grlex_pairs" not in design.mirror(1).__dict__
     for cache in (gen_path, gen_G, gen_H, gen_M):
         cache.cache_clear()

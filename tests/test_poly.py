@@ -192,9 +192,10 @@ def test_dot_export():
 
 def test_edges_listing():
     square = DesignPoly.of(2, [0b00, 0b01, 0b10, 0b11])
-    direction, lower, upper = square.edge_arrays
-    terms = square.sorted_terms
-    edges = {(int(terms[lo]), int(terms[up]), int(i) + 1)
-             for i, lo, up in zip(direction, lower, upper)}
+    rows, cols, starts = square.grlex_pairs
+    terms = square.ordered_terms
+    edges = {(int(terms[lo]), int(terms[up]), i + 1)
+             for i, (start, end) in enumerate(zip(starts, starts[1:]))
+             for lo, up in zip(rows[start:end], cols[start:end])}
     assert edges == {(0b00, 0b01, 1), (0b10, 0b11, 1),
                      (0b00, 0b10, 2), (0b01, 0b11, 2)}
