@@ -57,10 +57,11 @@ def _emit(path, text: str) -> None:
 
 def _load_design(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
         return poly.loads_design(text)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    # ValueError covers bad JSON and bad UTF-8; deep nesting raises RecursionError
+    except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
         print(f"error: cannot read design from {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
 
@@ -134,9 +135,9 @@ def cmd_pairs(args) -> int:
 
 def cmd_screen(args) -> int:
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # as in _load_design
         print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return EXIT_IO
     report = screening.run_screen(screening.config_from_dict(obj))

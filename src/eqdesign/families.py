@@ -146,27 +146,24 @@ def q_min(m: int) -> int:
     return (m - 1).bit_length() + 1
 
 
-def _m_decomposition(d: int, m: int) -> Tuple[int, int, int]:
-    """d = (c-1) q + t with q = q_min(m) and t in [q, 2q-1]; returns (q, c-1, t).
+def _m_decomposition(d: int, m: int) -> Tuple[Family, int, int, int]:
+    """d = (c-1) q + t with q = q_min(m) and t in [q, 2q-1]; returns the
+    family of M's blocks (path for m=1, H otherwise), q, c-1 and t.
 
     Needs d >= 2q, which check_domain("M", d, m) guarantees.
     """
     q = q_min(m)
     blocks, rem = divmod(d, q)
-    return q, blocks - 1, q + rem
+    return _REGISTRY["path" if m == 1 else "H"], q, blocks - 1, q + rem
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def gen_M(d: int, m: int) -> DesignPoly:
     """Factored family: shifted H blocks over disjoint coordinate ranges sharing the origin."""
     check_domain("M", d, m)
-    q, copies, t = _m_decomposition(d, m)
-    if m == 1:
-        block, tail = gen_path(q), gen_path(t)
-    else:
-        block, tail = gen_H(q, m), gen_H(t, m)
+    family, q, copies, t = _m_decomposition(d, m)
     # all blocks share the origin, their smallest term, which the design holds once
-    block, tail = (DesignPoly(b.dim, b.sorted_terms[1:]) for b in (block, tail))
+    block, tail = (DesignPoly(k, family.build(k, m).sorted_terms[1:]) for k in (q, t))
     design = DesignPoly.of(d, [0])
     for j in range(copies):
         design = design.union_disjoint(block.shift(j * q, d))
@@ -176,12 +173,8 @@ def gen_M(d: int, m: int) -> DesignPoly:
 def predicted_size_M(d: int, m: int) -> int:
     """Shared-origin size accounting: 1 + (c-1)(|block|-1) + (|tail|-1)."""
     check_domain("M", d, m)
-    q, copies, t = _m_decomposition(d, m)
-    if m == 1:
-        block_size, tail_size = q + 1, t + 1
-    else:
-        block_size, tail_size = predicted_size_H(q, m), predicted_size_H(t, m)
-    return 1 + copies * (block_size - 1) + (tail_size - 1)
+    family, q, copies, t = _m_decomposition(d, m)
+    return 1 + copies * (family.size(q, m) - 1) + (family.size(t, m) - 1)
 
 
 def economy_limits(m: int):

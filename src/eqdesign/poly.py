@@ -288,9 +288,9 @@ class DesignPoly:
 
     def image(self, s: int, perm: Sequence[int]) -> "DesignPoly":
         """self.mirror(s).permute(perm) in one pass, carrying this design's edges:
-        both maps are automorphisms of Q_dim, so an edge's endpoints swap when
-        s holds its direction, direction i becomes perm[i]-1, and every
-        position follows the image's graded-lex order."""
+        both maps are automorphisms of Q_dim, so an edge stays an edge,
+        direction i becomes perm[i]-1, and every position follows the image's
+        graded-lex order, in which the lower endpoint comes first."""
         check_monomial(s, self.dim)
         values = self._relabel(self.ordered_terms ^ s, perm)
         order = np.argsort(values, kind="stable")
@@ -299,10 +299,9 @@ class DesignPoly:
         position[order[image.grlex_index]] = np.arange(len(order))
         rows, cols, starts = self.grlex_pairs
         direction = np.repeat(np.arange(self.dim), np.diff(starts))
-        swap = ((s >> direction) & 1).astype(bool)
-        rows, cols = np.where(swap, cols, rows), np.where(swap, rows, cols)
+        rows, cols = position[rows], position[cols]
         image.__dict__["grlex_pairs"] = image._by_direction(
-            np.asarray(perm)[direction] - 1, position[rows], position[cols])
+            np.asarray(perm)[direction] - 1, np.minimum(rows, cols), np.maximum(rows, cols))
         return image
 
     def shift(self, k: int, new_dim: int) -> "DesignPoly":

@@ -21,8 +21,9 @@ from .effects import (ESTIMATORS, FactorStats, build_incidence, elementary_effec
 from .families import generate, predicted_size
 from .poly import mono_str
 
-# a screen's memory budget in point coordinates, |S| * d: 256 MB of float
-# points; validate refuses a larger screen before anything is built
+# a screen's memory budget in float64 cells, 256 MB: both one replicate's
+# points, |S| * d coordinates, and the (d, r, m) effects array must fit in
+# it; a ScreenConfig above it is refused when built, before anything runs
 MAX_SCREEN_CELLS = 1 << 25
 
 # coordinates given the saturating rational transform instead of the linear one
@@ -108,7 +109,8 @@ class ScreenConfig:
     sigma_estimator: str = "pooled"
     function_seed: Optional[int] = None  # defaults to seed
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Refuse a config that cannot run, naming every bad field; nothing is built."""
         problems = []
         for name in ("d", "m", "r", "levels", "seed", "function_seed"):
             value = getattr(self, name)
@@ -131,10 +133,17 @@ class ScreenConfig:
             problems.append(str(exc))
         if self.r < 2:
             problems.append(f"r must be >= 2, got {self.r}")
+        elif self.d * self.r * self.m > MAX_SCREEN_CELLS:
+            problems.append(f"r={self.r} gives d*r*m = {self.d * self.r * self.m} effects, "
+                            f"above the budget of {MAX_SCREEN_CELLS}")
         if not 0 < self.delta <= 1:
             problems.append(f"delta must be in (0,1], got {self.delta}")
         if not 2 <= self.levels <= sys.maxsize:
             problems.append(f"levels must be in [2, {sys.maxsize}], got {self.levels}")
+        for name in ("seed", "function_seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                problems.append(f"{name} must be >= 0, got {value}")
         if not 0 <= self.tau0 <= 1:  # also false for NaN
             problems.append(f"tau0 must be in [0,1], got {self.tau0}")
         if not 0 <= self.rho <= sys.float_info.max:  # an int past it fails float()
@@ -228,7 +237,6 @@ def run_screen(config: ScreenConfig,
     replicate and the vertex.  When func is omitted, the 20-factor benchmark
     built from the config's function seed is used (requires d=20).
     """
-    config.validate()
     if func is None:
         fseed = config.seed if config.function_seed is None else config.function_seed
         if config.d != 20:
@@ -238,7 +246,7 @@ def run_screen(config: ScreenConfig,
     design = generate(config.family, config.d, config.m)
     rng = np.random.default_rng(config.seed)
     d = config.d
-    samples = [[] for _ in range(d)]  # [direction][replicate] effect arrays
+    effects = np.empty((d, config.r, config.m))  # every family design is (d, m)-equitable
     replicates = []
     n_evals = 0
     for j in range(1, config.r + 1):
@@ -251,12 +259,12 @@ def run_screen(config: ScreenConfig,
         n_evals += len(rep.points)
         for i in range(1, d + 1):
             inc = build_incidence(transformed, i)
-            samples[i - 1].append(elementary_effects(inc, f_values, config.delta))
+            effects[i - 1, j - 1] = elementary_effects(inc, f_values, config.delta)
         replicates.append(ReplicateMeta(
             reflection=mono_str(s, d), permutation=perm,
             base_point=base, delta=config.delta,
         ))
-    stats = pooled_stats(samples, estimator=config.sigma_estimator)
+    stats = pooled_stats(effects, estimator=config.sigma_estimator)
     classes = classify(stats, tau0=config.tau0, rho=config.rho)
     return ScreenReport(config=config, stats=stats, classes=classes,
                         n_evals=n_evals, design_size=len(design),
@@ -272,6 +280,4 @@ def config_from_dict(obj: dict) -> ScreenConfig:
     unknown = set(obj) - known
     if unknown:
         raise ValueError(f"unknown screen config fields: {sorted(unknown)}")
-    cfg = ScreenConfig(**obj)
-    cfg.validate()
-    return cfg
+    return ScreenConfig(**obj)

@@ -6,7 +6,7 @@ import pytest
 
 from eqdesign import cli, screening
 from eqdesign.families import generate, q_min
-from eqdesign.poly import dumps_design, loads_design
+from eqdesign.poly import DesignPoly, dumps_design, loads_design
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +102,13 @@ def test_verify_parse_error(tmp_path, capsys):
     assert "cannot read design" in stderr
     code, _, _ = run_cli(capsys, "verify", "--in", str(tmp_path / "missing.json"))
     assert code == cli.EXIT_IO
+    # nested past json's recursion limit, and bytes that are not UTF-8
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    (tmp_path / "latin1.json").write_bytes(b'{"d": 3, "family": "\xe9"}')
+    for name in ("deep.json", "latin1.json"):
+        for command in ("verify", "pairs"):
+            code, _, stderr = run_cli(capsys, command, "--in", str(tmp_path / name))
+            assert code == cli.EXIT_IO and "cannot read design" in stderr
 
 
 @pytest.mark.parametrize("terms", [["0a0"], ["000", "000", "100"]])
@@ -195,7 +202,8 @@ def test_screen_missing_seed(tmp_path, capsys):
                                     {"seed": True}, {"family": "H", "m": 1},
                                     {"tau0": math.nan}, {"tau0": -0.1}, {"tau0": 1.5},
                                     {"rho": math.inf}, {"rho": math.nan}, {"rho": -1},
-                                    {"rho": 10 ** 400}, {"levels": 2 ** 63}])
+                                    {"rho": 10 ** 400}, {"levels": 2 ** 63},
+                                    {"seed": -5}, {"function_seed": -1}, {"r": 10 ** 8}])
 def test_screen_rejects_bad_config(tmp_path, capsys, fields):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 0, **fields}))
@@ -204,6 +212,28 @@ def test_screen_rejects_bad_config(tmp_path, capsys, fields):
     assert code == cli.EXIT_USAGE
     assert stderr.startswith("error: invalid screen config")
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("text", [b"{not json", b"[" * 100_000,
+                                  b'{"seed": 0, "family": "\xe9"}'],
+                         ids=["not-json", "deeply-nested", "not-utf-8"])
+def test_screen_unreadable_config_exits_3(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    code, _, stderr = run_cli(capsys, "screen", "--config", str(cfg),
+                              "--out", str(tmp_path / "r.csv"))
+    assert code == cli.EXIT_IO
+    assert stderr.startswith(f"error: cannot read config {cfg}")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_pairs_of_an_empty_design_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(dumps_design(DesignPoly.of(3, [])))
+    code, _, stderr = run_cli(capsys, "pairs", "--in", str(path),
+                              "--out", str(tmp_path / "pairs.csv"))
+    assert code == cli.EXIT_USAGE and "empty design has no pairs" in stderr
+    assert not (tmp_path / "pairs.csv").exists()
 
 
 def test_oracle_command(capsys):

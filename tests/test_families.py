@@ -148,7 +148,8 @@ def test_gen_M_requires_room():
 def test_gen_M_blocks_share_only_origin():
     from eqdesign.families import _m_decomposition
     for (d, m) in [(6, 2), (20, 4), (12, 3), (19, 5)]:
-        q, copies, t = _m_decomposition(d, m)
+        family, q, copies, t = _m_decomposition(d, m)
+        assert family.build is gen_H  # m >= 2: the blocks come from H
         blocks = [gen_H(q, m).shift(j * q, d) for j in range(copies)]
         blocks.append(gen_H(t, m).shift(copies * q, d))
         for a in range(len(blocks)):
@@ -250,10 +251,11 @@ def test_domain_agreement_grid(family):
         top = 1 << max(d - 1, 0)
         for m in sorted({0, 1, 2, 3, 4, 5, top, top + 1}):
             sized = _accepts(lambda: predicted_size(family, d, m))
-            valid = _accepts(lambda: ScreenConfig(d=d, m=m, family=family, seed=0).validate())
+            valid = _accepts(lambda: ScreenConfig(d=d, m=m, family=family, seed=0))
             assert sized == _in_domain(family, d, m), (family, d, m)
-            # a screen also keeps to the memory budget
-            assert valid == (sized and predicted_size(family, d, m) * d <= MAX_SCREEN_CELLS)
+            # a screen also keeps its points and its r=3 effects to the memory budget
+            assert valid == (sized and max(predicted_size(family, d, m), 3 * m) * d
+                             <= MAX_SCREEN_CELLS)
             if not sized:
                 assert not _accepts(lambda: generate(family, d, m)), (family, d, m)
             elif predicted_size(family, d, m) <= 5000:

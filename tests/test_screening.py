@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,35 +195,64 @@ def test_config_validation():
     with pytest.raises(ValueError, match="unknown screen config fields"):
         config_from_dict({"seed": 1, "bogus": 2})
     with pytest.raises(ValueError, match="m must be"):
-        ScreenConfig(d=3, m=9, seed=0).validate()
+        ScreenConfig(d=3, m=9, seed=0)
     with pytest.raises(ValueError, match="r must be"):
-        ScreenConfig(r=1, seed=0).validate()
+        ScreenConfig(r=1, seed=0)
     with pytest.raises(ValueError, match="family"):
-        ScreenConfig(family="X", seed=0).validate()
+        ScreenConfig(family="X", seed=0)
     with pytest.raises(ValueError, match="tau0 must be in"):
-        ScreenConfig(tau0=float("nan"), seed=0).validate()
+        ScreenConfig(tau0=float("nan"), seed=0)
     with pytest.raises(ValueError, match="rho must be finite"):
-        ScreenConfig(rho=float("inf"), seed=0).validate()
+        ScreenConfig(rho=float("inf"), seed=0)
     cfg = config_from_dict({"seed": 5, "m": 4, "r": 3, "family": "M"})
     assert cfg.d == 20 and cfg.delta == pytest.approx(2 / 3)
 
 
 def test_config_validation_keeps_a_screen_within_its_memory_budget(monkeypatch):
     def no_build(*args):
-        raise AssertionError("validate built a design")
+        raise AssertionError("ScreenConfig built a design")
 
     monkeypatch.setattr(screening, "generate", no_build)
     # G(62, 65536): 3,080,192 vertices, 1.5 GB of float points
     assert predicted_size("G", 62, 65536) * 62 > MAX_SCREEN_CELLS
     with pytest.raises(ValueError, match="above the budget of 33554432"):
-        ScreenConfig(d=62, m=65536, family="G", seed=0).validate()
+        ScreenConfig(d=62, m=65536, family="G", seed=0)
     # 496,384 and 544,384 vertices: one on each side of the budget
-    ScreenConfig(d=62, m=10000, family="G", seed=0).validate()
+    ScreenConfig(d=62, m=10000, family="G", seed=0)
     with pytest.raises(ValueError, match="above the budget"):
-        ScreenConfig(d=62, m=11000, family="G", seed=0).validate()
+        ScreenConfig(d=62, m=11000, family="G", seed=0)
     with pytest.raises(ValueError, match="above the budget"):
         run_screen(ScreenConfig(d=62, m=65536, family="G", seed=0),
                    func=lambda points: points.sum(axis=1))
+
+
+def test_config_budget_bounds_the_effects_array():
+    # G(1, 1) has d = m = 1, so r alone sets d*r*m; the cap is checked
+    # when the config is built, and no screen is run at it
+    ScreenConfig(d=1, m=1, r=MAX_SCREEN_CELLS, family="G", seed=0)
+    with pytest.raises(ValueError, match=f"gives d\\*r\\*m = {MAX_SCREEN_CELLS + 1} effects"):
+        ScreenConfig(d=1, m=1, r=MAX_SCREEN_CELLS + 1, family="G", seed=0)
+    with pytest.raises(ValueError, match=r"^invalid screen config: r=100000000 gives"):
+        ScreenConfig(r=100_000_000, seed=0)
+
+
+def test_config_refuses_negative_seeds():
+    with pytest.raises(ValueError, match=r"^invalid screen config: seed must be >= 0, got -5$"):
+        ScreenConfig(seed=-5)
+    with pytest.raises(ValueError, match=r"^invalid screen config: function_seed must be >= 0"):
+        ScreenConfig(seed=0, function_seed=-1)
+    ScreenConfig(seed=0, function_seed=0)
+
+
+def test_screen_experiment_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, str(root / "scripts" / "screen_experiment.py"),
+                          "--seeds", "2"], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout.splitlines()
+    assert [line.split(":")[0] for line in out] == ["clustered (m=4, r=3)",
+                                                    "baseline  (m=1, r=12)"]
+    assert all("mean accuracy" in line and "over 2 seeds" in line for line in out)
 
 
 def test_run_screen_refuses_a_delta_below_float_resolution():
