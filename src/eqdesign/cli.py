@@ -1,13 +1,17 @@
 """Command-line surface: generate, verify, economy, pairs, screen, oracle.
 
 Exit codes: 0 success (or verified equitable), 1 checked-negative
-(non-equitable), 2 usage error, 3 I/O or parse error.
+(non-equitable), 2 usage error, 3 I/O or parse error.  main is the one place
+that maps a failure to an exit code.  Inputs are read up to MAX_INPUT_CHARS
+characters.  An output symlink is written through, a FIFO or device in
+place, and a new file gets the mode open() gives it.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -19,51 +23,70 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write through a temporary file renamed over path, so that a failed write
-    leaves an earlier file whole; exit EXIT_IO if path cannot be written."""
+class FileFault(Exception):
+    """A file that cannot be read, parsed or written: main exits EXIT_IO."""
+
+
+# The longest JSON generate writes: one term line of MAX_DIM + 8 characters
+# ('    "' + word + '",' and a newline) per vertex at the cap, and the header.
+MAX_INPUT_CHARS = (poly.MAX_DIM + 8) * families.MAX_DESIGN_VERTICES + 1024
+
+
+def _read(path: str, what: str, parse):
+    """parse(text) of the file at path, at most MAX_INPUT_CHARS characters;
+    FileFault if it cannot be read or parsed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read(MAX_INPUT_CHARS + 1)  # /dev/zero has no end
+        if len(text) > MAX_INPUT_CHARS:
+            raise ValueError(f"longer than {MAX_INPUT_CHARS} characters")
+        return parse(text)
+    # ValueError covers bad JSON and bad UTF-8; deep nesting raises RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
+        raise FileFault(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_atomic(path, text: str) -> None:
+    """write_all of one text; to stdout when path is None."""
     write_all([(path, text)])
 
 
 def write_all(outputs: list) -> None:
-    """write_atomic of every (path, text), all or nothing: no temporary file is
-    renamed over its path until every text is written."""
-    temps = []
+    """Write every (path, text), all or nothing: a text for a regular file or
+    a new path goes to a temporary file beside the file path resolves to, and
+    none is renamed over its file until every text is written.  A new file
+    gets the mode open() gives it, an existing one keeps its mode.  Then
+    stdout (no path) and FIFOs or devices are written in place.  FileFault if
+    any write fails."""
+    mask = os.umask(0)
+    os.umask(mask)
+    renames, in_place = [], []
     try:
         for path, text in outputs:
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                       prefix=".tmp-", text=True)
-            temps.append(tmp)
+            st = os.stat(path) if path and os.path.exists(path) else None
+            if not path or st and not stat.S_ISREG(st.st_mode):
+                in_place.append((path, text))
+                continue
+            real = os.path.realpath(path)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".tmp-", text=True)
+            renames.append((path, real, tmp))
             with os.fdopen(fd, "w") as fh:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode) if st else 0o666 & ~mask)
                 fh.write(text)
-        for (path, _), tmp in zip(outputs, temps):
-            os.replace(tmp, path)
+        for path, real, tmp in renames:
+            os.replace(tmp, real)
+        for path, text in in_place:
+            if not path:
+                sys.stdout.write(text)
+            else:
+                with open(path, "w") as fh:
+                    fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        raise FileFault(f"cannot write {path or 'stdout'}: {exc}") from exc
     finally:
-        for tmp in temps:
+        for _, _, tmp in renames:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-
-
-def _emit(path, text: str) -> None:
-    """Write text to path, or to stdout when no path is given."""
-    if path:
-        write_atomic(path, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load_design(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        return poly.loads_design(text)
-    # ValueError covers bad JSON and bad UTF-8; deep nesting raises RecursionError
-    except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
-        print(f"error: cannot read design from {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
 
 
 def cmd_generate(args) -> int:
@@ -74,13 +97,13 @@ def cmd_generate(args) -> int:
         text = poly.dumps_design(design, family=args.family, m=args.m)
     else:
         text = poly.to_dot(design, name=f"{args.family}_{args.d}_{args.m}")
-    _emit(args.out, text)
+    write_atomic(args.out, text)
     print(f"size={len(design)} predicted_size={predicted} economy={gamma}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    design, _meta = _load_design(args.input)
+    design, _meta = _read(args.input, "design from", poly.loads_design)
     if not len(design):
         print("profile=() equitable, m=0")
         return EXIT_OK
@@ -109,38 +132,30 @@ def cmd_economy(args) -> int:
                 continue  # outside the family's domain: no row
             total += predicted
             if total > families.MAX_DESIGN_VERTICES:
-                print(f"error: the table up to m={m} would build more than "
-                      f"{families.MAX_DESIGN_VERTICES} vertices; pass a smaller --m-max",
-                      file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError(f"the table up to m={m} would build more than "
+                                 f"{families.MAX_DESIGN_VERTICES} vertices; pass a smaller --m-max")
             rows.append((family, m, predicted))
     lines = ["family,d,m,size,predicted_size,economy"]
     for family, m, predicted in rows:
         design = families.generate(family, d, m)
         lines.append(f"{family},{d},{m},{len(design)},{predicted},{design.economy(m)}")
     text = "\n".join(lines) + "\n"
-    _emit(args.out, text)
+    write_atomic(args.out, text)
     return EXIT_OK
 
 
 def cmd_pairs(args) -> int:
-    design, _meta = _load_design(args.input)
+    design, _meta = _read(args.input, "design from", poly.loads_design)
     if not len(design):
-        print("error: empty design has no pairs", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("empty design has no pairs")
     text = effects.pairs_csv(effects.order_vertices(design))
-    _emit(args.out, text)
+    write_atomic(args.out, text)
     return EXIT_OK
 
 
 def cmd_screen(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:  # as in _load_design
-        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    report = screening.run_screen(screening.config_from_dict(obj))
+    config = screening.config_from_dict(_read(args.config, "config", json.loads))
+    report = screening.run_screen(config)
     renders = ((args.out, report.to_csv), (args.metadata, report.metadata_json),
                (args.scatter, report.scatter_csv))
     write_all([(path, render()) for path, render in renders if path])
@@ -203,16 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  A ValueError that reaches here is bad input: exit
-    EXIT_USAGE.  Errors reading or writing files exit EXIT_IO where they
-    happen, before any ValueError (json.JSONDecodeError is one) gets here."""
+    """Run one command.  This is the one place a failure becomes an exit code:
+    a FileFault exits EXIT_IO, a ValueError is bad input and exits EXIT_USAGE
+    (argparse exits EXIT_USAGE on a bad command line itself)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (FileFault, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_IO if isinstance(exc, FileFault) else EXIT_USAGE
 
 
 if __name__ == "__main__":

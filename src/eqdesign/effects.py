@@ -153,10 +153,10 @@ def _total(x: np.ndarray) -> np.ndarray:
 
 
 def _square(x: np.ndarray) -> np.ndarray:
-    """x ** 2 as Python computes it for a float, with pow(x, 2.0): x * x
-    (numpy's x ** 2, np.square and np.power's fast path) can differ from it
-    in the last bit."""
-    return np.float_power(x, 2.0)
+    """x ** 2 in place, as Python computes it for a float, with pow(x, 2.0):
+    x * x (numpy's x ** 2, np.square and np.power's fast path) can differ
+    from it in the last bit."""
+    return np.float_power(x, 2.0, out=x)
 
 
 def pooled_stats(samples: Sequence[Sequence[Sequence[float]]],
@@ -175,7 +175,8 @@ def pooled_stats(samples: Sequence[Sequence[Sequence[float]]],
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown sigma estimator {estimator!r}")
     try:
-        effects = np.array(samples, dtype=float)
+        # no copy of a float array; the view, not the caller's array, turns read-only
+        effects = np.asarray(samples, dtype=float).view()
         d, r, m = effects.shape
     except ValueError:  # ragged, or not three levels deep
         raise ValueError("need the same number of effects in every direction "

@@ -63,7 +63,7 @@ class BenchmarkFunction:
         pts = np.atleast_2d(x)
         if pts.shape[-1] != 20:
             raise ValueError(f"expected 20 coordinates, got {pts.shape[-1]}")
-        if pts.min() < -1e-9 or pts.max() > 1 + 1e-9:
+        if not (-1e-9 <= pts.min() and pts.max() <= 1 + 1e-9):  # also true for NaN
             raise ValueError("input outside [0,1]^20")
         w = w_transform(pts)
         val = self.beta0 + w @ self.beta1

@@ -1,11 +1,14 @@
 import json
 import math
+import os
+import re
+import stat
 
 import numpy as np
 import pytest
 
 from eqdesign import cli, screening
-from eqdesign.families import generate, q_min
+from eqdesign.families import generate, predicted_size, q_min
 from eqdesign.poly import DesignPoly, dumps_design, loads_design
 
 
@@ -337,3 +340,81 @@ def test_screen_refuses_a_screen_above_the_memory_budget(tmp_path, capsys, monke
                               "--out", str(tmp_path / "r.csv"))
     assert code == cli.EXIT_USAGE
     assert stderr.startswith("error: invalid screen config") and "above the budget" in stderr
+
+
+def test_write_atomic_into_a_missing_directory_raises_a_file_fault(tmp_path):
+    missing = tmp_path / "no" / "out.txt"
+    with pytest.raises(cli.FileFault, match=f"^cannot write {re.escape(str(missing))}: "):
+        cli.write_atomic(str(missing), "text\n")
+    assert not (tmp_path / "no").exists()
+
+
+def test_generate_without_out_prints_the_design_then_its_size(capsys):
+    code, stdout, stderr = run_cli(capsys, "generate", "--family", "H", "--d", "5", "--m", "3")
+    design = generate("H", 5, 3)
+    assert code == 0 and stderr == ""
+    assert stdout == (dumps_design(design, family="H", m=3)
+                      + f"size={len(design)} predicted_size={predicted_size('H', 5, 3)} "
+                      + f"economy={design.economy(3)}\n")
+
+
+def test_output_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    target, link = tmp_path / "sub" / "g.json", tmp_path / "link.json"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "generate", "--family", "G", "--d", "3", "--out", str(link))
+    assert code == 0 and link.is_symlink()
+    assert target.read_text() == dumps_design(generate("G", 3, 1), family="G", m=1)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["g.json", "link.json", "sub"]
+
+
+def test_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    text = dumps_design(generate("G", 3, 1), family="G", m=1)
+    assert len(text) < 1 << 16  # fits the pipe buffer: a write never waits for the reader
+    # open the read end first, without blocking, so a writer can open it
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _, _ = run_cli(capsys, "generate", "--family", "G", "--d", "3", "--out", str(fifo))
+        assert code == 0 and stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.read(reader, 1 << 16) == text.encode()
+    finally:
+        os.close(reader)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
+
+
+def test_outputs_get_the_mode_open_gives_them(tmp_path, capsys):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("old\n")
+    old.chmod(0o604)
+    mask = os.umask(0o027)
+    try:
+        for path in (new, old):
+            code, _, _ = run_cli(capsys, "generate", "--family", "G", "--d", "3",
+                                 "--out", str(path))
+            assert code == 0
+    finally:
+        os.umask(mask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert stat.S_IMODE(old.stat().st_mode) == 0o604
+    assert old.read_text() == new.read_text()
+
+
+def test_inputs_longer_than_the_bound_exit_3(tmp_path, capsys, monkeypatch):
+    design = tmp_path / "g.json"
+    design.write_text(dumps_design(generate("G", 3, 1)))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 0}))
+    out = tmp_path / "r.csv"
+    for argv, path, what in ((("verify", "--in"), design, "design from"),
+                             (("screen", "--out", str(out), "--config"), config, "config")):
+        monkeypatch.setattr(cli, "MAX_INPUT_CHARS", len(path.read_text()))
+        assert run_cli(capsys, *argv, str(path))[0] == 0  # exactly at the bound
+        monkeypatch.setattr(cli, "MAX_INPUT_CHARS", cli.MAX_INPUT_CHARS - 1)
+        for source in (path, "/dev/zero"):
+            code, _, stderr = run_cli(capsys, *argv, str(source))
+            assert code == cli.EXIT_IO
+            assert stderr == (f"error: cannot read {what} {source}: "
+                              f"longer than {cli.MAX_INPUT_CHARS} characters\n")

@@ -126,6 +126,9 @@ def test_embed():
     for bad in (0.9, float("nan")):
         with pytest.raises(ValueError, match="outside"):
             embed(od, [0.0, bad], 0.25)
+    for bad in (0.0, -0.25, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\]"):
+            embed(od, [0.0, 0.0], bad)
     with pytest.raises(ValueError):
         embed(od, [0.0], 0.25)
 
@@ -195,6 +198,17 @@ def test_pooled_stats_between_estimator():
     assert between.sigma == (pytest.approx(math.sqrt(8)),)
     with pytest.raises(ValueError):
         pooled_stats(samples, estimator="bogus")
+    with pytest.raises(ValueError, match=">= 2 replicates"):
+        pooled_stats([[[1.0, 3.0]]], estimator="between")  # r = 1
+
+
+@pytest.mark.parametrize("estimator", ["pooled", "between"])
+def test_pooled_stats_keep_a_read_only_view_of_a_float_array(estimator):
+    samples = np.arange(24, dtype=float).reshape(2, 3, 4)
+    stats = pooled_stats(samples, estimator=estimator)
+    assert np.shares_memory(stats.effects, samples)
+    assert not stats.effects.flags.writeable and samples.flags.writeable
+    assert samples.tolist() == np.arange(24, dtype=float).reshape(2, 3, 4).tolist()
 
 
 def test_pairs_csv():

@@ -4,7 +4,7 @@ import pytest
 
 from eqdesign.poly import (DesignPoly, DimensionMismatch, common_multiplicity,
                            design_from_dict, dumps_design, loads_design,
-                           mono_name, mono_parse, mono_str, to_dot)
+                           mono_from_vars, mono_name, mono_parse, mono_str, to_dot)
 
 from conftest import term_set
 
@@ -19,6 +19,9 @@ def test_mono_words():
     assert mono_name(X1 | X3) == "X1X3"
     with pytest.raises(ValueError):
         mono_parse("10a")
+    assert mono_from_vars(1, 3) == X1 | X3
+    with pytest.raises(ValueError, match="1-based"):
+        mono_from_vars(0)
 
 
 def test_mirror_figure_example():
@@ -60,6 +63,8 @@ def test_is_equitable():
     assert square.is_equitable() == 2
     lopsided = DesignPoly.of(3, [0, X1, X2, X1 | X3, X2 | X3])
     assert lopsided.is_equitable() is None
+    with pytest.raises(ValueError, match="undefined for the empty design"):
+        DesignPoly.zero(3).economy()
 
 
 def test_common_multiplicity():
@@ -99,6 +104,8 @@ def test_shift():
     assert term_set(q.shift(3, 5)) == frozenset([0, X4, 0b10000])
     with pytest.raises(ValueError):
         q.shift(4, 5)
+    with pytest.raises(ValueError, match="non-negative"):
+        q.shift(-1, 5)
 
 
 def test_union_semantics():
@@ -116,6 +123,8 @@ def test_invalid_construction():
         DesignPoly.of(0, [])
     with pytest.raises(ValueError):
         DesignPoly.of(63, [0])
+    with pytest.raises(ValueError, match=r"refusing to enumerate 2\^27"):
+        DesignPoly.full(27)
 
 
 def test_json_round_trip_byte_identical():

@@ -252,7 +252,7 @@ def test_wide_embed_matches_reference(p, delta, data):
     assert points.tolist() == embed_reference(od.ordered_terms.tolist(), base, delta)
 
 
-def test_blocked_pass_matches_references_across_blocks():
+def test_wide_design_matches_references_in_every_direction():
     # about 4,000 vertices at d=62, scattered over all 62 directions
     rng = np.random.default_rng(0)
     terms = set()

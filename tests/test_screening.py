@@ -83,6 +83,9 @@ def test_test_function_domain_check():
         f(np.full(20, 1.5))
     with pytest.raises(ValueError):
         f(np.zeros(19))
+    for bad in (np.full(20, np.nan), np.r_[0.5, np.full(19, np.nan)]):
+        with pytest.raises(ValueError, match=r"outside \[0,1\]\^20"):
+            f(bad)
 
 
 def test_classify():
@@ -204,6 +207,11 @@ def test_config_validation():
         ScreenConfig(tau0=float("nan"), seed=0)
     with pytest.raises(ValueError, match="rho must be finite"):
         ScreenConfig(rho=float("inf"), seed=0)
+    for delta in (0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"delta must be in \(0,1\]"):
+            ScreenConfig(delta=delta, seed=0)
+    with pytest.raises(ValueError, match="unknown sigma estimator 'bogus'"):
+        ScreenConfig(sigma_estimator="bogus", seed=0)
     cfg = config_from_dict({"seed": 5, "m": 4, "r": 3, "family": "M"})
     assert cfg.d == 20 and cfg.delta == pytest.approx(2 / 3)
 
