@@ -32,15 +32,33 @@ class FileFault(Exception):
 MAX_INPUT_CHARS = (poly.MAX_DIM + 8) * families.MAX_DESIGN_VERTICES + 1024
 
 
+# _read reads at most this many characters at a time, and none past the first
+# one over MAX_INPUT_CHARS, so it refuses an endless input holding the bound
+# and about two chunks more (the one being decoded and the bytes of the one
+# before, which the text layer keeps for tell()).  A design of up to about
+# 60,000 vertices at d = 62 is one chunk, read into one string, never joined.
+READ_CHUNK_CHARS = 1 << 22
+
+# write_all writes a text this many characters at a time, so that no more
+# than a chunk of it is ever encoded at once
+WRITE_CHUNK_CHARS = 1 << 20
+
+
 def _read(path: str, what: str, parse):
     """parse(text) of the file at path, at most MAX_INPUT_CHARS characters;
     FileFault if it cannot be read or parsed."""
     try:
+        chunks, total = [], 0
         with open(path, encoding="utf-8") as fh:
-            text = fh.read(MAX_INPUT_CHARS + 1)  # /dev/zero has no end
-        if len(text) > MAX_INPUT_CHARS:
+            while total <= MAX_INPUT_CHARS:  # /dev/zero has no end
+                chunk = fh.read(min(READ_CHUNK_CHARS, MAX_INPUT_CHARS + 1 - total))
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                total += len(chunk)
+        if total > MAX_INPUT_CHARS:
             raise ValueError(f"longer than {MAX_INPUT_CHARS} characters")
-        return parse(text)
+        return parse("".join(chunks))
     # ValueError covers bad JSON and bad UTF-8; deep nesting raises RecursionError
     except (OSError, ValueError, RecursionError) as exc:
         raise FileFault(f"cannot read {what} {path}: {exc}") from exc
@@ -49,6 +67,11 @@ def _read(path: str, what: str, parse):
 def write_atomic(path, text: str) -> None:
     """write_all of one text; to stdout when path is None."""
     write_all([(path, text)])
+
+
+def _write_chunks(fh, text: str) -> None:
+    for k in range(0, len(text), WRITE_CHUNK_CHARS):
+        fh.write(text[k:k + WRITE_CHUNK_CHARS])
 
 
 def write_all(outputs: list) -> None:
@@ -72,15 +95,15 @@ def write_all(outputs: list) -> None:
             renames.append((path, real, tmp))
             with os.fdopen(fd, "w") as fh:
                 os.chmod(tmp, stat.S_IMODE(st.st_mode) if st else 0o666 & ~mask)
-                fh.write(text)
+                _write_chunks(fh, text)
         for path, real, tmp in renames:
             os.replace(tmp, real)
         for path, text in in_place:
             if not path:
-                sys.stdout.write(text)
+                _write_chunks(sys.stdout, text)
             else:
                 with open(path, "w") as fh:
-                    fh.write(text)
+                    _write_chunks(fh, text)
     except OSError as exc:
         raise FileFault(f"cannot write {path or 'stdout'}: {exc}") from exc
     finally:

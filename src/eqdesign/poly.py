@@ -10,10 +10,12 @@ computations.
 Since d <= 62, every monomial fits in an int64, and a design is one strictly
 increasing int64 array of its monomials.  Every operation is an array pass:
 mirror is an XOR and a sort, union a merge, shift a left shift, relabelling
-a column gather on the (n, 64) bit matrix, and the edge counts, graded-lex
-order and binary-word (de)serialization work on the whole array at once.
-A randomized replicate, a reflection then a relabelling, is an automorphism
-of Q_d, so `image` carries the base design's edges to it without a new search.
+one lookup per byte in a table of byte images, and the edge counts,
+graded-lex order and binary-word (de)serialization work on the whole array
+at once.  A randomized replicate, a reflection then a relabelling, is an
+automorphism of Q_d, so `image` carries the base design's edges to it
+without a new search; since relabelling is linear over GF(2), it relabels
+the base terms and XORs them with the relabelled reflection.
 """
 from __future__ import annotations
 
@@ -84,6 +86,11 @@ def common_multiplicity(profile: Sequence[int]) -> Optional[int]:
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+# _BYTE_BITS[j, b] is bit j of the byte b
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[None, :], axis=0,
+                           bitorder="little").astype(np.int64)
 
 
 def to_bits(values: np.ndarray) -> np.ndarray:
@@ -218,8 +225,9 @@ class DesignPoly:
                       cols: np.ndarray) -> tuple:
         """grlex_pairs from this design's edges in any order, given as each
         edge's 0-based direction and graded-lex endpoint positions."""
-        # by direction, then row: one sort of a combined key (rows < len(self))
-        order = np.argsort(direction * len(self) + rows, kind="stable")
+        # by direction, then row: one sort of a combined key (rows < len(self)),
+        # distinct since a vertex has at most one upper neighbour per direction
+        order = np.argsort(direction * len(self) + rows)
         starts = np.zeros(self.dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(direction, minlength=self.dim), out=starts[1:])
         return _frozen(rows[order]), _frozen(cols[order]), starts.tolist()
@@ -275,11 +283,22 @@ class DesignPoly:
         return DesignPoly(self.dim, np.flatnonzero(absent).astype(np.int64, copy=False))
 
     def _relabel(self, values: np.ndarray, perm: Sequence[int]) -> np.ndarray:
-        """`values` with bit i moved to position perm[i]-1 (perm is 1-based)."""
+        """`values` with bit i moved to position perm[i]-1 (perm is 1-based).
+
+        A bit permutation maps each byte of a value on its own, so one table
+        per byte holds the images of all 256 bytes, and a value's image is
+        the OR of one table entry per byte."""
         if sorted(perm) != list(range(1, self.dim + 1)):
             raise ValueError(f"not a permutation of 1..{self.dim}: {list(perm)!r}")
-        # bit j of a result is bit i of its value where perm[i] = j+1
-        return from_bits(np.take(to_bits(values), np.argsort(perm), axis=1))
+        n_bytes = (self.dim + 7) // 8
+        weights = np.zeros(8 * n_bytes, dtype=np.int64)  # the image of each bit
+        weights[:self.dim] = np.left_shift(1, np.asarray(perm, dtype=np.int64) - 1)
+        table = weights.reshape(n_bytes, 8) @ _BYTE_BITS  # (n_bytes, 256)
+        octets = values.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+        out = table[0].take(octets[:, 0])
+        for k in range(1, n_bytes):
+            out |= table[k].take(octets[:, k])
+        return out
 
     def permute(self, perm: Sequence[int]) -> "DesignPoly":
         """Relabel directions: bit i moves to position perm[i]-1 (perm is 1-based)."""
@@ -292,16 +311,19 @@ class DesignPoly:
         direction i becomes perm[i]-1, and every position follows the image's
         graded-lex order, in which the lower endpoint comes first."""
         check_monomial(s, self.dim)
-        values = self._relabel(self.ordered_terms ^ s, perm)
-        order = np.argsort(values, kind="stable")
+        values = self._relabel(self.ordered_terms, perm)
+        # relabelling is linear over GF(2), so it maps t ^ s to its image of t
+        # XOR the image of s
+        values ^= sum(1 << (p - 1) for i, p in enumerate(perm) if s >> i & 1)
+        order = np.argsort(values)  # distinct keys: every sort kind agrees
         image = DesignPoly(self.dim, values[order])
         position = np.empty_like(order)  # of each of our ordered_terms in the image's
         position[order[image.grlex_index]] = np.arange(len(order))
         rows, cols, starts = self.grlex_pairs
-        direction = np.repeat(np.arange(self.dim), np.diff(starts))
         rows, cols = position[rows], position[cols]
         image.__dict__["grlex_pairs"] = image._by_direction(
-            np.asarray(perm)[direction] - 1, np.minimum(rows, cols), np.maximum(rows, cols))
+            np.repeat(np.asarray(perm) - 1, np.diff(starts)),
+            np.minimum(rows, cols), np.maximum(rows, cols))
         return image
 
     def shift(self, k: int, new_dim: int) -> "DesignPoly":

@@ -36,6 +36,15 @@ REFERENCE_CLASSES = tuple(
 )
 
 
+# the beta3 triples i < j < l <= 5, as three index columns I, J, L
+_TRIPLES = tuple(np.array(c) for c in zip(*itertools.combinations(range(5), 3)))
+
+# the beta2 pairs i < j in lexicographic order, and those outside the fixed
+# block of pairs within factors 1..6, which get standard-normal coefficients
+_PAIR_ROWS, _PAIR_COLS = np.triu_indices(20, 1)
+_FREE_PAIRS = _PAIR_COLS >= 6
+
+
 def w_transform(x: np.ndarray) -> np.ndarray:
     """Input warping of points x[..., 20]: w = 2x-1, except a rational saturating
     branch on coords 3, 5, 7."""
@@ -68,9 +77,11 @@ class BenchmarkFunction:
         w = w_transform(pts)
         val = self.beta0 + w @ self.beta1
         val += np.einsum("ni,ij,nj->n", w, self.beta2, w)
-        for (i, j, l) in itertools.combinations(range(5), 3):
-            val += self.beta3 * w[:, i] * w[:, j] * w[:, l]
-        val += self.beta4 * w[:, 0] * w[:, 1] * w[:, 2] * w[:, 3]
+        i, j, l = _TRIPLES
+        terms = self.beta3 * w[:, i] * w[:, j] * w[:, l]
+        # added to val one term at a time, left to right, as a loop adds them
+        val = (np.add.accumulate(np.column_stack((val, terms)), axis=1)[:, -1]
+               + self.beta4 * w[:, 0] * w[:, 1] * w[:, 2] * w[:, 3])
         return val[0] if squeeze else val
 
 
@@ -87,11 +98,10 @@ def build_test_function(seed: int) -> BenchmarkFunction:
     beta1 = np.zeros(20)
     beta1[:10] = 20.0
     beta1[10:] = rng.standard_normal(10)
-    rows, cols = np.triu_indices(20, 1)  # the pairs i < j in lexicographic order
-    free = cols >= 6  # outside the fixed block of pairs within factors 1..6
     beta2 = np.zeros((20, 20))
-    beta2[rows, cols] = -15.0
-    beta2[rows[free], cols[free]] = rng.standard_normal(np.count_nonzero(free))
+    beta2[_PAIR_ROWS, _PAIR_COLS] = -15.0
+    beta2[_PAIR_ROWS[_FREE_PAIRS], _PAIR_COLS[_FREE_PAIRS]] = rng.standard_normal(
+        np.count_nonzero(_FREE_PAIRS))
     return BenchmarkFunction(seed=seed, beta0=beta0, beta1=beta1, beta2=beta2)
 
 

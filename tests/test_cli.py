@@ -3,6 +3,7 @@ import math
 import os
 import re
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,3 +419,30 @@ def test_inputs_longer_than_the_bound_exit_3(tmp_path, capsys, monkeypatch):
             assert code == cli.EXIT_IO
             assert stderr == (f"error: cannot read {what} {source}: "
                               f"longer than {cli.MAX_INPUT_CHARS} characters\n")
+
+
+def test_an_endless_input_is_refused_in_bounded_memory(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_INPUT_CHARS", 8 * cli.READ_CHUNK_CHARS)
+    tracemalloc.start()
+    try:
+        code, _, stderr = run_cli(capsys, "verify", "--in", "/dev/zero")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_IO
+    assert stderr == (f"error: cannot read design from /dev/zero: "
+                      f"longer than {cli.MAX_INPUT_CHARS} characters\n")
+    assert peak < 1.5 * cli.MAX_INPUT_CHARS
+
+
+def test_outputs_are_encoded_one_chunk_at_a_time(tmp_path):
+    text = "0,1\n" * (2 * cli.WRITE_CHUNK_CHARS)
+    out = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        cli.write_atomic(str(out), text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text() == text
+    assert peak < 3 * cli.WRITE_CHUNK_CHARS

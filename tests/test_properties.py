@@ -445,3 +445,45 @@ def test_inherited_edges_match_a_fresh_search(p, data):
     vertices = od.ordered_terms.tolist()
     for i in range(1, p.dim + 1):
         assert build_incidence(od, i).pairs == incidence_reference(vertices, i)
+
+
+def _swap_ends(d):
+    """The permutation of 1..d that swaps bits 0 and d-1 and fixes the rest."""
+    return [d] + list(range(2, d)) + [1]
+
+
+@pytest.mark.parametrize("d", [8, 9, 16, 17, 62])
+def test_relabel_matches_the_bit_loop_at_byte_boundaries(d):
+    rng = np.random.default_rng(d)
+    full = (1 << d) - 1
+    values = sorted({0, 1, 1 << (d - 1), full, full ^ 1, full >> 1,
+                     *(int(v) for v in rng.integers(0, full, size=200, endpoint=True))})
+    p = DesignPoly.of(d, values)
+    perms = [list(range(1, d + 1)), list(range(d, 0, -1)), _swap_ends(d),
+             [int(k) + 1 for k in rng.permutation(d)]]
+    for perm in perms:
+        got = p._relabel(p.sorted_terms, perm)
+        assert got.dtype == np.int64
+        assert got.tolist() == [permute_reference(t, perm) for t in values], perm
+
+
+@given(wide_design_polys(), st.data())
+def test_image_relabels_then_reflects_by_the_relabelled_s(p, data):
+    s = data.draw(monomials_in(p.dim))
+    perm = data.draw(permutations_of(p.dim))
+    relabelled = p._relabel(p.ordered_terms, perm) ^ permute_reference(s, perm)
+    assert p.image(s, perm).sorted_terms.tolist() == sorted(relabelled.tolist())
+
+
+@pytest.mark.parametrize("family", ["H", "M"])
+def test_stress_images_carry_the_edges_a_fresh_search_finds(family):
+    base = {"H": gen_H, "M": gen_M}[family](62, 64)
+    rng = np.random.default_rng(62)
+    for _ in range(3):
+        s = int(rng.integers(0, 1 << 62))
+        perm = tuple(int(k) + 1 for k in rng.permutation(62))
+        image = base.image(s, perm)
+        searched = DesignPoly(62, image.sorted_terms).grlex_pairs
+        assert image.grlex_pairs[2] == searched[2]
+        for got, want in zip(image.grlex_pairs[:2], searched[:2]):
+            assert np.array_equal(got, want)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -290,3 +291,17 @@ def test_sigma_estimator_flag():
     between = run_screen(ScreenConfig(seed=2, sigma_estimator="between"))
     assert pooled.stats.mu == between.stats.mu
     assert pooled.stats.sigma != between.stats.sigma
+
+
+def test_test_function_adds_its_triples_as_a_loop_does():
+    f = build_test_function(3)
+    rng = np.random.default_rng(3)
+    for n in (1, 21, 49, 76, 5000):
+        pts = rng.random((n, 20))
+        w = screening.w_transform(pts)
+        want = f.beta0 + w @ f.beta1
+        want += np.einsum("ni,ij,nj->n", w, f.beta2, w)
+        for i, j, l in itertools.combinations(range(5), 3):
+            want += f.beta3 * w[:, i] * w[:, j] * w[:, l]
+        want += f.beta4 * w[:, 0] * w[:, 1] * w[:, 2] * w[:, 3]
+        assert f(pts).tobytes() == want.tobytes()
