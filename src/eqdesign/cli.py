@@ -4,7 +4,8 @@ Exit codes: 0 success (or verified equitable), 1 checked-negative
 (non-equitable), 2 usage error, 3 I/O or parse error.  main is the one place
 that maps a failure to an exit code.  Inputs are read up to MAX_INPUT_CHARS
 characters.  An output symlink is written through, a FIFO or device in
-place, and a new file gets the mode open() gives it.
+place, and a new file gets the mode open() gives it; two outputs that name
+one file are refused before any is written.
 """
 from __future__ import annotations
 
@@ -58,32 +59,38 @@ def _read(path: str, what: str, parse):
                 total += len(chunk)
         if total > MAX_INPUT_CHARS:
             raise ValueError(f"longer than {MAX_INPUT_CHARS} characters")
-        return parse("".join(chunks))
+        text = "".join(chunks)
+        chunks.clear()  # parse one copy of the input, not the chunks as well
+        return parse(text)
     # ValueError covers bad JSON and bad UTF-8; deep nesting raises RecursionError
     except (OSError, ValueError, RecursionError) as exc:
         raise FileFault(f"cannot read {what} {path}: {exc}") from exc
 
 
-def write_atomic(path, text: str) -> None:
-    """write_all of one text; to stdout when path is None."""
+def write_atomic(path, text) -> None:
+    """write_all of one text (a str or a list of str); to stdout when path is None."""
     write_all([(path, text)])
 
 
-def _write_chunks(fh, text: str) -> None:
-    for k in range(0, len(text), WRITE_CHUNK_CHARS):
-        fh.write(text[k:k + WRITE_CHUNK_CHARS])
+def _write_chunks(fh, text) -> None:
+    """Write a str, or each str of a list in order, WRITE_CHUNK_CHARS at a time."""
+    for piece in [text] if isinstance(text, str) else text:
+        for k in range(0, len(piece), WRITE_CHUNK_CHARS):
+            fh.write(piece[k:k + WRITE_CHUNK_CHARS])
 
 
 def write_all(outputs: list) -> None:
-    """Write every (path, text), all or nothing: a text for a regular file or
-    a new path goes to a temporary file beside the file path resolves to, and
-    none is renamed over its file until every text is written.  A new file
-    gets the mode open() gives it, an existing one keeps its mode.  Then
-    stdout (no path) and FIFOs or devices are written in place.  FileFault if
-    any write fails."""
+    """Write every (path, text), all or nothing; a text is a str or a list of
+    str written in order.  A text for a regular file or a new path goes to a
+    temporary file beside the file path resolves to, and none is renamed over
+    its file until every text is written.  A new file gets the mode open()
+    gives it, an existing one keeps its mode.  Then stdout (no path) and FIFOs
+    or devices are written in place.  ValueError, before anything is written,
+    if two texts would be renamed onto the same file; FileFault if any write
+    fails."""
     mask = os.umask(0)
     os.umask(mask)
-    renames, in_place = [], []
+    planned, in_place, renames = {}, [], []  # planned: real path -> (path, stat, text)
     try:
         for path, text in outputs:
             st = os.stat(path) if path and os.path.exists(path) else None
@@ -91,6 +98,10 @@ def write_all(outputs: list) -> None:
                 in_place.append((path, text))
                 continue
             real = os.path.realpath(path)
+            if real in planned:
+                raise ValueError(f"{planned[real][0]} and {path} name the same file {real}")
+            planned[real] = (path, st, text)
+        for real, (path, st, text) in planned.items():
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".tmp-", text=True)
             renames.append((path, real, tmp))
             with os.fdopen(fd, "w") as fh:
@@ -126,7 +137,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    design, _meta = _read(args.input, "design from", poly.loads_design)
+    # [0]: the parsed JSON, one str per vertex, is freed before the edge search
+    design = _read(args.input, "design from", poly.loads_design)[0]
     if not len(design):
         print("profile=() equitable, m=0")
         return EXIT_OK
@@ -168,11 +180,11 @@ def cmd_economy(args) -> int:
 
 
 def cmd_pairs(args) -> int:
-    design, _meta = _read(args.input, "design from", poly.loads_design)
+    design = _read(args.input, "design from", poly.loads_design)[0]
     if not len(design):
         raise ValueError("empty design has no pairs")
-    text = effects.pairs_csv(effects.order_vertices(design))
-    write_atomic(args.out, text)
+    # one write_atomic of the CSV's pieces, never joined into a second copy
+    write_atomic(args.out, effects.pairs_csv(effects.order_vertices(design)))
     return EXIT_OK
 
 

@@ -199,11 +199,13 @@ def pooled_stats(samples: Sequence[Sequence[Sequence[float]]],
                        sigma=tuple(np.sqrt(var).tolist()), effects=effects)
 
 
-def pairs_csv(design: DesignPoly) -> str:
-    """Pair listing for all directions: direction,row,col,sign,lower_vertex,upper_vertex.
+def pairs_csv(design: DesignPoly) -> list:
+    """Pair listing for all directions, direction,row,col,sign,lower_vertex,upper_vertex,
+    as a list of pieces to write in order: the header, then one str per direction.
 
     Each direction's rows are joined on their own, so that only one
-    direction's line strings are alive next to the text.
+    direction's line strings are alive next to the pieces, and the pieces are
+    never joined into a second copy of the whole listing.
     """
     words = format_words(design.ordered_terms, design.dim)
     chunks = ["direction,row,col,sign,lower_vertex,upper_vertex\n"]
@@ -212,4 +214,4 @@ def pairs_csv(design: DesignPoly) -> str:
         # every sign is +1: the row vertex is the lower endpoint (see grlex_pairs)
         chunks.append("".join([f"{i},{r + 1},{c + 1},+1,{words[r]},{words[c]}\n"
                                for r, c in zip(inc.rows.tolist(), inc.cols.tolist())]))
-    return "".join(chunks)
+    return chunks

@@ -248,9 +248,11 @@ def check_domain(family: str, d: int, m: int) -> None:
 
 
 # generate() refuses designs above this many vertices.  The design itself is
-# an int64 array, 8 bytes a vertex (32 MB at the cap), but its JSON and DOT
-# outputs hold a Python string of about 110 bytes per vertex at d=62, and a
-# screen embeds it as a float array of 8*d bytes per vertex.
+# an int64 array, 8 bytes a vertex (32 MB at the cap), but at d=62 the CLI's
+# design-file commands peak at about 315 (generate), 385 (verify) and 440
+# (pairs) bytes a vertex (child max RSS above a bare interpreter's, H(62, 30000)
+# with 1.07M vertices), so about 1.3, 1.6 and 1.9 GB at the cap; and a screen
+# embeds a design as a float array of 8*d bytes per vertex.
 MAX_DESIGN_VERTICES = 1 << 22
 
 

@@ -364,10 +364,11 @@ def _parse_words(words: list, text: str, d) -> Optional[np.ndarray]:
     if (not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= MAX_DIM
             or set(map(len, words)) - {d} or not text.isascii()):
         return None
-    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, d)
-    if np.any((chars | 1) != ord("1")):  # only '0' and '1' survive setting bit 0
+    # one uint8 temporary: every character but '0' and '1' wraps to above 1
+    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+    if bits.max(initial=0) > 1:
         return None
-    return from_bits(chars - ord("0"))
+    return from_bits(bits.reshape(-1, d))
 
 
 def design_to_dict(design: DesignPoly, family: Optional[str] = None,
@@ -416,7 +417,21 @@ def design_from_dict(obj: dict) -> DesignPoly:
 
 def dumps_design(design: DesignPoly, family: Optional[str] = None,
                  m: object = "auto") -> str:
-    return json.dumps(design_to_dict(design, family=family, m=m), indent=2) + "\n"
+    """json.dumps(design_to_dict(...), indent=2) plus a newline, with the terms
+    block written from one (n, d + 8) byte array of '    "word",' lines."""
+    if m == "auto":
+        m = design.is_equitable()
+    head = json.dumps({"d": design.dim, "m": m, "family": family, "terms": []}, indent=2)
+    n, d = len(design), design.dim
+    if not n:
+        return head + "\n"
+    lines = np.empty((n, d + 8), dtype=np.uint8)
+    lines[:, :5] = np.frombuffer(b'    "', dtype=np.uint8)
+    np.add(to_bits(design.ordered_terms)[:, :d], ord("0"), out=lines[:, 5:d + 5])
+    lines[:, d + 5:] = np.frombuffer(b'",\n', dtype=np.uint8)
+    lines[-1, d + 6] = ord("\n")  # no comma after the last word
+    block = lines.reshape(-1)[:-1].tobytes().decode("ascii")
+    return head[:-len("]\n}")] + "\n" + block + "  ]\n}\n"
 
 
 def loads_design(text: str) -> tuple:

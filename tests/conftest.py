@@ -1,10 +1,11 @@
 """Shared brute-force oracles and hypothesis strategies for the test suite."""
 import itertools
+import json
 
 import numpy as np
 from hypothesis import strategies as st
 
-from eqdesign.poly import DesignPoly
+from eqdesign.poly import DesignPoly, design_to_dict
 
 
 def term_set(design):
@@ -62,6 +63,11 @@ def permute_reference(mono, perm):
         if (mono >> i) & 1:
             out |= 1 << (p - 1)
     return out
+
+
+def dumps_design_reference(design, family=None, m="auto"):
+    """The design file as json.dumps writes the canonical dict."""
+    return json.dumps(design_to_dict(design, family=family, m=m), indent=2) + "\n"
 
 
 def incidence_reference(vertices, direction):

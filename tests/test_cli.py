@@ -438,11 +438,60 @@ def test_an_endless_input_is_refused_in_bounded_memory(capsys, monkeypatch):
 def test_outputs_are_encoded_one_chunk_at_a_time(tmp_path):
     text = "0,1\n" * (2 * cli.WRITE_CHUNK_CHARS)
     out = tmp_path / "big.csv"
+    # a list is written piece by piece, in order, each piece a chunk at a time
+    for written in (text, ["head\n", text, "", "1,0\n" * 3]):
+        tracemalloc.start()
+        try:
+            cli.write_atomic(str(out), written)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_text() == "".join(written)
+        assert peak < 3 * cli.WRITE_CHUNK_CHARS
+
+
+@pytest.mark.parametrize("argv", [
+    ("--metadata", "{report}", "--scatter", "{scatter}"),
+    ("--metadata", "{meta}", "--scatter", "{link}"),
+], ids=["metadata-is-out", "scatter-links-to-out"])
+@pytest.mark.parametrize("report", [None, b"factor,mu\n1,0.5\n"], ids=["new", "old"])
+def test_two_outputs_naming_one_file_exit_2_and_write_nothing(tmp_path, capsys, argv, report):
+    paths = {"config": tmp_path / "cfg.json", "report": tmp_path / "r.csv",
+             "link": tmp_path / "link.csv", "meta": tmp_path / "meta.json",
+             "scatter": tmp_path / "scatter.csv"}
+    paths["config"].write_text(json.dumps({"seed": 0}))
+    paths["link"].symlink_to(paths["report"])
+    if report is not None:
+        paths["report"].write_bytes(report)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, stdout, stderr = run_cli(capsys, "screen", "--config", str(paths["config"]),
+                                   "--out", str(paths["report"]),
+                                   *(arg.format(**paths) for arg in argv))
+    assert code == cli.EXIT_USAGE and stdout == ""
+    assert stderr.startswith("error: ") and "name the same file" in stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == before  # no .tmp-*, no new output
+    if report is None:
+        assert not paths["report"].exists()
+    else:
+        assert paths["report"].read_bytes() == report
+
+
+def test_in_place_outputs_may_repeat(capsys):
+    cli.write_all([(None, "a\n"), (None, ["b\n", "c\n"])])
+    assert capsys.readouterr().out == "a\nb\nc\n"
+
+
+def test_pairs_holds_one_copy_of_its_csv(tmp_path):
+    design_path, out = tmp_path / "h.json", tmp_path / "pairs.csv"
+    design_path.write_text(dumps_design(generate("H", 62, 928), family="H", m=928))
     tracemalloc.start()
     try:
-        cli.write_atomic(str(out), text)
+        assert cli.main(["pairs", "--in", str(design_path), "--out", str(out)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.read_text() == text
-    assert peak < 3 * cli.WRITE_CHUNK_CHARS
+    size = out.stat().st_size
+    assert out.read_bytes().count(b"\n") == 1 + 62 * 928
+    # the CSV once, the design file's text and parse, and the vertices' words;
+    # joining the pieces, or keeping the parsed JSON, puts it above 3x
+    assert peak < 2.5 * size

@@ -75,14 +75,14 @@ def digests():
         out[name] = report.to_csv() + report.metadata_json()
     with tempfile.TemporaryDirectory() as tmp:
         for family, design in (("H", gen_H(62, 100)), ("M", gen_M(62, 64))):
-            out[f"pairs-{family}-62"] = pairs_csv(order_vertices(design))
+            out[f"pairs-{family}-62"] = "".join(pairs_csv(order_vertices(design)))
             out[f"json-{family}-62"] = dumps_design(design, family=family)
             path = Path(tmp) / f"{family}.json"
             path.write_text(out[f"json-{family}-62"])
             out[f"verify-{family}-62"] = cli_stdout(["verify", "--in", str(path)])
     for m in G_MULTIPLICITIES:
         design = gen_G(62, m)
-        out[f"pairs-G-62-{m}"] = pairs_csv(order_vertices(design))
+        out[f"pairs-G-62-{m}"] = "".join(pairs_csv(order_vertices(design)))
         out[f"json-G-62-{m}"] = dumps_design(design, family="G")
     out["dot-H-62"] = to_dot(gen_H(62, 100))
     out["dot-G-62-777"] = to_dot(gen_G(62, 777))

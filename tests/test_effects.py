@@ -7,7 +7,7 @@ import pytest
 from eqdesign.effects import (build_incidence, elementary_effects, embed,
                               order_vertices, pairs_csv, pooled_stats,
                               randomize, sample_base)
-from eqdesign.families import gen_G, gen_path
+from eqdesign.families import gen_G, gen_H, gen_path
 from eqdesign.poly import DesignPoly
 
 from conftest import brute_direction_pairs, sample_base_reference
@@ -213,13 +213,24 @@ def test_pooled_stats_keep_a_read_only_view_of_a_float_array(estimator):
 
 def test_pairs_csv():
     od = order_vertices(E42)
-    text = pairs_csv(od)
+    text = "".join(pairs_csv(od))
     lines = text.strip().splitlines()
     assert lines[0] == "direction,row,col,sign,lower_vertex,upper_vertex"
     assert "2,1,3,+1,0000,0100" in lines
     assert "2,2,4,+1,1000,1100" in lines
     # 2 pairs per direction for an equitable m=2 design
     assert len(lines) == 1 + 4 * 2
+
+
+def test_pairs_csv_piece_k_holds_direction_k():
+    design = gen_H(8, 6)
+    chunks = pairs_csv(design)
+    assert chunks[0] == "direction,row,col,sign,lower_vertex,upper_vertex\n"
+    assert len(chunks) == 1 + design.dim
+    for k, chunk in enumerate(chunks[1:], start=1):
+        lines = chunk.splitlines(keepends=True)
+        assert len(lines) == 6 and "".join(lines) == chunk
+        assert all(line.startswith(f"{k},") for line in lines)
 
 
 def loop_sum(values):

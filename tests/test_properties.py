@@ -16,9 +16,9 @@ from eqdesign.poly import (DesignPoly, dumps_design, edge_index, format_words,
 from eqdesign.screening import ScreenConfig, config_from_dict
 
 from conftest import (brute_direction_pairs, brute_edge_profile, design_polys,
-                      embed_reference, grlex_reference, incidence_reference,
-                      monomials_in, permutations_of, permute_reference,
-                      term_set, wide_design_polys)
+                      dumps_design_reference, embed_reference, grlex_reference,
+                      incidence_reference, monomials_in, permutations_of,
+                      permute_reference, term_set, wide_design_polys)
 
 
 @st.composite
@@ -374,6 +374,13 @@ def test_wide_words_round_trip(p):
     design, _ = loads_design(dumps_design(p))
     assert design == p
     assert_canonical(design)
+
+
+@given(st.one_of(design_polys(), wide_design_polys()),
+       st.one_of(st.none(), st.sampled_from(FAMILIES), st.text(max_size=4)),
+       st.one_of(st.just("auto"), st.none(), st.integers(0, 1 << 61)))
+def test_dumps_design_writes_what_json_dumps_writes(p, family, m):
+    assert dumps_design(p, family=family, m=m) == dumps_design_reference(p, family, m)
 
 
 @pytest.mark.parametrize("terms", [[1 << 63], [2 ** 64 + 5], [-1], [0, -(1 << 63)],
