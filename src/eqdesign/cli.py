@@ -68,7 +68,7 @@ def _read(path: str, what: str, parse):
 
 
 def write_atomic(path, text) -> None:
-    """write_all of one text (a str or a list of str); to stdout when path is None."""
+    """write_all of one text (a str or a list of str)."""
     write_all([(path, text)])
 
 
@@ -84,17 +84,19 @@ def write_all(outputs: list) -> None:
     str written in order.  A text for a regular file or a new path goes to a
     temporary file beside the file path resolves to, and none is renamed over
     its file until every text is written.  A new file gets the mode open()
-    gives it, an existing one keeps its mode.  Then stdout (no path) and FIFOs
-    or devices are written in place.  ValueError, before anything is written,
-    if two texts would be renamed onto the same file; FileFault if any write
-    fails."""
+    gives it, an existing one keeps its mode.  Then stdout (path None) and
+    FIFOs or devices are written in place.  ValueError, before anything is
+    written, if a path is empty or two texts would be renamed onto the same
+    file; FileFault if any write fails."""
     mask = os.umask(0)
     os.umask(mask)
     planned, in_place, renames = {}, [], []  # planned: real path -> (path, stat, text)
     try:
         for path, text in outputs:
-            st = os.stat(path) if path and os.path.exists(path) else None
-            if not path or st and not stat.S_ISREG(st.st_mode):
+            if path == "":
+                raise ValueError("empty output path")
+            st = os.stat(path) if path is not None and os.path.exists(path) else None
+            if path is None or st and not stat.S_ISREG(st.st_mode):
                 in_place.append((path, text))
                 continue
             real = os.path.realpath(path)
@@ -110,7 +112,7 @@ def write_all(outputs: list) -> None:
         for path, real, tmp in renames:
             os.replace(tmp, real)
         for path, text in in_place:
-            if not path:
+            if path is None:
                 _write_chunks(sys.stdout, text)
             else:
                 with open(path, "w") as fh:
@@ -137,8 +139,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # [0]: the parsed JSON, one str per vertex, is freed before the edge search
-    design = _read(args.input, "design from", poly.loads_design)[0]
+    design = _read(args.input, "design from", poly.loads_design)
     if not len(design):
         print("profile=() equitable, m=0")
         return EXIT_OK
@@ -180,11 +181,11 @@ def cmd_economy(args) -> int:
 
 
 def cmd_pairs(args) -> int:
-    design = _read(args.input, "design from", poly.loads_design)[0]
+    design = _read(args.input, "design from", poly.loads_design)
     if not len(design):
         raise ValueError("empty design has no pairs")
     # one write_atomic of the CSV's pieces, never joined into a second copy
-    write_atomic(args.out, effects.pairs_csv(effects.order_vertices(design)))
+    write_atomic(args.out, effects.pairs_csv(design))
     return EXIT_OK
 
 
@@ -193,7 +194,7 @@ def cmd_screen(args) -> int:
     report = screening.run_screen(config)
     renders = ((args.out, report.to_csv), (args.metadata, report.metadata_json),
                (args.scatter, report.scatter_csv))
-    write_all([(path, render()) for path, render in renders if path])
+    write_all([(path, render()) for path, render in renders if path is not None])
     summary = {c: report.classes.count(c) for c in ("C0", "C1", "C2")}
     print(f"n_evals={report.n_evals}")
     print("classes: " + " ".join(f"{k}={v}" for k, v in summary.items()))

@@ -44,7 +44,6 @@ class EffectIncidence:
     graded-lex order that is every pair.
     """
 
-    direction: int
     rows: np.ndarray
     cols: np.ndarray
 
@@ -60,7 +59,7 @@ def build_incidence(design: DesignPoly, direction: int) -> EffectIncidence:
         raise ValueError(f"direction must be in 1..{design.dim}, got {direction}")
     rows, cols, starts = design.grlex_pairs
     lo, hi = starts[direction - 1], starts[direction]
-    return EffectIncidence(direction=direction, rows=rows[lo:hi], cols=cols[lo:hi])
+    return EffectIncidence(rows=rows[lo:hi], cols=cols[lo:hi])
 
 
 def elementary_effects(inc: EffectIncidence, f_values: Sequence[float],

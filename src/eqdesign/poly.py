@@ -192,9 +192,6 @@ class DesignPoly:
             return NotImplemented
         return self.dim == other.dim and np.array_equal(self.sorted_terms, other.sorted_terms)
 
-    def __hash__(self) -> int:
-        return hash((self.dim, self.sorted_terms.tobytes()))
-
     @cached_property
     def grlex_index(self) -> np.ndarray:
         """Positions in sorted_terms in graded-lex order: a stable sort by degree."""
@@ -385,10 +382,13 @@ def design_to_dict(design: DesignPoly, family: Optional[str] = None,
 
 
 def design_from_dict(obj: dict) -> DesignPoly:
+    if not isinstance(obj, dict):
+        raise ValueError("malformed design object: expected a JSON object, "
+                         f"got {type(obj).__name__}")
     try:
         d = obj["d"]
         words = obj["terms"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed design object: missing {exc}") from exc
     try:
         if not isinstance(words, list):
@@ -399,16 +399,15 @@ def design_from_dict(obj: dict) -> DesignPoly:
                          "binary words") from None
     values = _parse_words(words, text, d)
     if values is None:
-        # a word or d is bad: parse word by word, which reports the first
+        # a word or d is bad: check word by word, which raises on the first
         # fault in order (a word's length, a word, a duplicate, then d)
-        terms = []
         for w in words:
             if len(w) != d:
                 raise ValueError(f"term {w!r} has length {len(w)}, expected {d}")
-            terms.append(mono_parse(w))
+            mono_parse(w)
         if len(set(words)) != len(words):
             raise ValueError("malformed design object: duplicate terms")
-        return DesignPoly.of(d, terms)
+        check_dim(d)
     values = np.sort(values, kind="stable")
     if np.any(values[1:] == values[:-1]):
         raise ValueError("malformed design object: duplicate terms")
@@ -434,10 +433,9 @@ def dumps_design(design: DesignPoly, family: Optional[str] = None,
     return head[:-len("]\n}")] + "\n" + block + "  ]\n}\n"
 
 
-def loads_design(text: str) -> tuple:
-    """Returns (design, metadata dict as stored)."""
-    obj = json.loads(text)
-    return design_from_dict(obj), obj
+def loads_design(text: str) -> DesignPoly:
+    """The design in a JSON text; the parsed object is freed on return."""
+    return design_from_dict(json.loads(text))
 
 
 def to_dot(design: DesignPoly, name: str = "design") -> str:

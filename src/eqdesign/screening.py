@@ -36,7 +36,9 @@ REFERENCE_CLASSES = tuple(
 )
 
 
-# the beta3 triples i < j < l <= 5, as three index columns I, J, L
+BETA3 = -10.0  # the coefficient of every triple i < j < l <= 5
+BETA4 = 5.0    # the coefficient of the single quadruple i < j < l < s <= 4
+# the BETA3 triples, as three index columns I, J, L
 _TRIPLES = tuple(np.array(c) for c in zip(*itertools.combinations(range(5), 3)))
 
 # the beta2 pairs i < j in lexicographic order, and those outside the fixed
@@ -63,8 +65,6 @@ class BenchmarkFunction:
     beta0: float
     beta1: np.ndarray       # (20,)
     beta2: np.ndarray       # (20, 20), upper triangular i<j
-    beta3: float = -10.0    # all triples i<j<l <= 5
-    beta4: float = 5.0      # the single quadruple i<j<l<s <= 4
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -78,10 +78,10 @@ class BenchmarkFunction:
         val = self.beta0 + w @ self.beta1
         val += np.einsum("ni,ij,nj->n", w, self.beta2, w)
         i, j, l = _TRIPLES
-        terms = self.beta3 * w[:, i] * w[:, j] * w[:, l]
+        terms = BETA3 * w[:, i] * w[:, j] * w[:, l]
         # added to val one term at a time, left to right, as a loop adds them
         val = (np.add.accumulate(np.column_stack((val, terms)), axis=1)[:, -1]
-               + self.beta4 * w[:, 0] * w[:, 1] * w[:, 2] * w[:, 3])
+               + BETA4 * w[:, 0] * w[:, 1] * w[:, 2] * w[:, 3])
         return val[0] if squeeze else val
 
 
@@ -164,7 +164,7 @@ class ScreenConfig:
             raise ValueError("invalid screen config: " + "; ".join(problems))
 
 
-def classify(stats: FactorStats, tau0: float = 0.1, rho: float = 0.5) -> tuple:
+def classify(stats: FactorStats, tau0: float, rho: float) -> tuple:
     """Label each factor C0 (negligible), C1 (linear) or C2 (nonlinear/interaction).
 
     C0 needs both mu* and sigma below tau0 times the respective maxima; of the

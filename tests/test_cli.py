@@ -28,7 +28,8 @@ def test_generate_json(tmp_path, capsys):
                               "--m", "1", "--out", str(out))
     assert code == 0
     assert "size=4" in stdout
-    design, meta = loads_design(out.read_text())
+    text = out.read_text()
+    design, meta = loads_design(text), json.loads(text)
     assert len(design) == 4
     assert meta["family"] == "G" and meta["m"] == 1
 
@@ -129,7 +130,7 @@ def test_json_reserialize_byte_identical(tmp_path, capsys):
     run_cli(capsys, "generate", "--family", "H", "--d", "7", "--m", "3",
             "--out", str(path))
     text = path.read_text()
-    design, meta = loads_design(text)
+    design, meta = loads_design(text), json.loads(text)
     assert dumps_design(design, family=meta["family"], m=meta["m"]) == text
 
 
@@ -307,6 +308,24 @@ def test_unwritable_output_exits_3(tmp_path, capsys, argv):
         else:
             assert paths["report"].read_bytes() == report
         assert not list(tmp_path.glob(".tmp-*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--family", "G", "--d", "3", "--out", ""),
+    ("economy", "--d", "4", "--out", ""),
+    ("pairs", "--in", "g.json", "--out", ""),
+    ("screen", "--config", "cfg.json", "--out", ""),
+    ("screen", "--config", "cfg.json", "--out", "r.csv", "--metadata", ""),
+    ("screen", "--config", "cfg.json", "--out", "r.csv", "--scatter", ""),
+], ids=["generate", "economy", "pairs", "screen-out", "screen-metadata", "screen-scatter"])
+def test_an_empty_output_path_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(dumps_design(generate("G", 3, 1)))
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": 0}))
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert stderr == "error: empty output path\n" and stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "g.json"]
 
 
 def test_failed_write_leaves_the_target_whole(tmp_path):

@@ -1,9 +1,10 @@
-from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eqdesign import poly
+from eqdesign.effects import randomize
 from eqdesign.families import (CACHE_SIZE, FAMILIES, MAX_DESIGN_VERTICES, alpha_h,
                                economy_limits, gen_G, gen_H, gen_M, gen_path,
                                generate, leaf_counts, min_size_oracle,
@@ -263,18 +264,21 @@ def test_domain_agreement_grid(family):
 
 
 def _connected(design) -> bool:
-    """Breadth-first search over the hypercube edges inside the design."""
-    terms = term_set(design)
-    start = min(terms)
-    seen, queue = {start}, deque([start])
-    while queue:
-        v = queue.popleft()
-        for i in range(design.dim):
-            u = v ^ (1 << i)
-            if u in terms and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(design)
+    """Label propagation over the design's edges (grlex_pairs): each vertex
+    takes the least label among itself and its neighbours, then the label of
+    its label (pointer jumping), until nothing changes.  A label is always a
+    vertex of the same component, so one label is left exactly when the
+    design is connected."""
+    rows, cols, _ = design.grlex_pairs
+    label = np.arange(len(design))
+    while True:
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        np.minimum.at(low, cols, label[rows])
+        low = low[low]
+        if np.array_equal(low, label):
+            return not label.any()
+        label = low
 
 
 def test_designs_connected():
@@ -290,6 +294,22 @@ def test_designs_connected():
                 checked += 1
     assert checked > 500
     assert not _connected(DesignPoly.of(3, [0, 0b011]))
+    assert not _connected(DesignPoly.of(4, [0, 0b0001, 0b0110, 0b1110]))
+
+
+# every design of the screen_paper and screen_mid benchmark cycles, and
+# stress-scale designs of each family
+SCALE_DESIGNS = ([(family, 20, m) for family, m in (("M", 4), ("H", 4), ("G", 4), ("path", 1))]
+                 + [(family, 30, m) for m in (32, 64, 128, 200) for family in ("M", "H", "G")]
+                 + [("H", 62, 928), ("M", 62, 672), ("G", 62, 777)])
+
+
+@pytest.mark.parametrize("family, d, m", SCALE_DESIGNS)
+def test_designs_connected_at_scale(family, d, m):
+    design = generate(family, d, m)
+    assert _connected(design)
+    # a randomized replicate is an automorphism image: it stays connected
+    assert _connected(randomize(design, np.random.default_rng(d * m))[0])
 
 
 def test_caches_are_bounded():

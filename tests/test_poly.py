@@ -130,7 +130,7 @@ def test_invalid_construction():
 def test_json_round_trip_byte_identical():
     p = DesignPoly.of(3, [X2, 0, X1 | X2 | X3, X1])
     text = dumps_design(p, family="G", m=1)
-    design, meta = loads_design(text)
+    design, meta = loads_design(text), json.loads(text)
     assert design == p
     again = dumps_design(design, family=meta["family"], m=meta["m"])
     assert again == text
@@ -176,6 +176,10 @@ def test_design_from_dict_validation():
      "malformed design object: 'terms' must be a list of binary words"),
     ({"d": 3, "terms": "000"},
      "malformed design object: 'terms' must be a list of binary words"),
+    ([], "malformed design object: expected a JSON object, got list"),
+    (5, "malformed design object: expected a JSON object, got int"),
+    (None, "malformed design object: expected a JSON object, got NoneType"),
+    ("x", "malformed design object: expected a JSON object, got str"),
 ])
 def test_design_from_dict_messages(obj, message):
     with pytest.raises(ValueError) as excinfo:

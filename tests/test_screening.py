@@ -95,7 +95,7 @@ def test_classify():
     assert classify(stats, tau0=0.1, rho=0.5) == ("C0", "C1", "C2")
     allzero = FactorStats(mu=(0.0,) * 3, mu_star=(0.0,) * 3, sigma=(0.0,) * 3,
                           effects=((), (), ()))
-    assert classify(allzero) == ("C0", "C0", "C0")
+    assert classify(allzero, tau0=0.1, rho=0.5) == ("C0", "C0", "C0")
 
 
 def test_run_screen_counts():
@@ -302,6 +302,6 @@ def test_test_function_adds_its_triples_as_a_loop_does():
         want = f.beta0 + w @ f.beta1
         want += np.einsum("ni,ij,nj->n", w, f.beta2, w)
         for i, j, l in itertools.combinations(range(5), 3):
-            want += f.beta3 * w[:, i] * w[:, j] * w[:, l]
-        want += f.beta4 * w[:, 0] * w[:, 1] * w[:, 2] * w[:, 3]
+            want += screening.BETA3 * w[:, i] * w[:, j] * w[:, l]
+        want += screening.BETA4 * w[:, 0] * w[:, 1] * w[:, 2] * w[:, 3]
         assert f(pts).tobytes() == want.tobytes()
