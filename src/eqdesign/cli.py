@@ -5,11 +5,12 @@ Exit codes: 0 success (or verified equitable), 1 checked-negative
 that maps a failure to an exit code.  Inputs are read up to MAX_INPUT_CHARS
 characters.  An output symlink is written through, a FIFO or device in
 place, and a new file gets the mode open() gives it; two outputs that name
-one file are refused before any is written.
+one file, or an output that is a directory, are refused before any is written.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import stat
@@ -87,7 +88,8 @@ def write_all(outputs: list) -> None:
     gives it, an existing one keeps its mode.  Then stdout (path None) and
     FIFOs or devices are written in place.  ValueError, before anything is
     written, if a path is empty or two texts would be renamed onto the same
-    file; FileFault if any write fails."""
+    file; FileFault if a path is a directory (also before anything is
+    written) or if any write fails."""
     mask = os.umask(0)
     os.umask(mask)
     planned, in_place, renames = {}, [], []  # planned: real path -> (path, stat, text)
@@ -96,6 +98,8 @@ def write_all(outputs: list) -> None:
             if path == "":
                 raise ValueError("empty output path")
             st = os.stat(path) if path is not None and os.path.exists(path) else None
+            if st and stat.S_ISDIR(st.st_mode):  # before any temporary file
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             if path is None or st and not stat.S_ISREG(st.st_mode):
                 in_place.append((path, text))
                 continue

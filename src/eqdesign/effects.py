@@ -111,7 +111,7 @@ def embed(design: DesignPoly, base: Sequence[float], delta: float) -> Replicated
             raise ValueError(f"delta={delta} does not move base coordinate {i} from {x}")
     # coordinate i of a point is one of two values, min(1, base[i] + delta * bit)
     levels = np.array([[min(1.0, b + delta * bit) for b in base] for bit in (0, 1)])
-    points = np.where(to_bits(design.ordered_terms)[:, :d].view(bool), levels[1], levels[0])
+    points = np.where(to_bits(design.ordered_terms, d).view(bool), levels[1], levels[0])
     return ReplicatedDesign(points=points)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Tuple
 
-from .poly import MAX_DIM, DesignPoly, mono_from_vars
+from .poly import DesignPoly, check_dim, mono_from_vars
 
 
 @dataclass(frozen=True)
@@ -235,8 +235,7 @@ def check_domain(family: str, d: int, m: int) -> None:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if not 1 <= d <= MAX_DIM:
-        raise ValueError(f"d must be in [1, {MAX_DIM}], got {d}")
+    check_dim(d)
     if not 1 <= m <= 1 << (d - 1):
         raise ValueError(f"m must be in [1, 2^(d-1)] = [1, {1 << (d - 1)}], got {m}")
     if family == "H" and m < 2:

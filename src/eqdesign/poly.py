@@ -93,10 +93,10 @@ _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[None, :], axis=0,
                            bitorder="little").astype(np.int64)
 
 
-def to_bits(values: np.ndarray) -> np.ndarray:
-    """The (n, 64) uint8 bit matrix of n int64 vertices: column i holds bit i."""
+def to_bits(values: np.ndarray, dim: int) -> np.ndarray:
+    """The (n, dim) uint8 bit matrix of n int64 vertices of Q_dim: column i holds bit i."""
     octets = values.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(octets, axis=1, bitorder="little")
+    return np.unpackbits(octets, axis=1, count=dim, bitorder="little")
 
 
 def from_bits(bits: np.ndarray) -> np.ndarray:
@@ -350,35 +350,21 @@ class DesignPoly:
 
 def format_words(values: np.ndarray, dim: int) -> list:
     """mono_str of every int64 term in `values` (all in Q_dim), in one array pass."""
-    text = (to_bits(values)[:, :dim] + ord("0")).tobytes().decode("ascii")
+    text = (to_bits(values, dim) + ord("0")).tobytes().decode("ascii")
     return [text[k:k + dim] for k in range(0, len(text), dim)]
 
 
-def _parse_words(words: list, text: str, d) -> Optional[np.ndarray]:
+def _parse_words(words: list, text: str, d: int) -> Optional[np.ndarray]:
     """mono_parse of every word, as one int64 array in the words' order, given
-    their concatenation `text`; None unless d is a dimension and every word is
-    a binary word of length d."""
-    if (not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= MAX_DIM
-            or set(map(len, words)) - {d} or not text.isascii()):
+    their concatenation `text`; None unless every word is a binary word of
+    length d."""
+    if set(map(len, words)) - {d} or not text.isascii():
         return None
     # one uint8 temporary: every character but '0' and '1' wraps to above 1
     bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
     if bits.max(initial=0) > 1:
         return None
     return from_bits(bits.reshape(-1, d))
-
-
-def design_to_dict(design: DesignPoly, family: Optional[str] = None,
-                   m: object = "auto") -> dict:
-    """Canonical JSON object for a design; terms in graded-lex order."""
-    if m == "auto":
-        m = design.is_equitable()
-    return {
-        "d": design.dim,
-        "m": m,
-        "family": family,
-        "terms": format_words(design.ordered_terms, design.dim),
-    }
 
 
 def design_from_dict(obj: dict) -> DesignPoly:
@@ -397,17 +383,15 @@ def design_from_dict(obj: dict) -> DesignPoly:
     except TypeError:
         raise ValueError("malformed design object: 'terms' must be a list of "
                          "binary words") from None
+    check_dim(d)
     values = _parse_words(words, text, d)
     if values is None:
-        # a word or d is bad: check word by word, which raises on the first
-        # fault in order (a word's length, a word, a duplicate, then d)
+        # a word is bad: check word by word, which raises on the first fault
+        # (its length, then its characters)
         for w in words:
             if len(w) != d:
                 raise ValueError(f"term {w!r} has length {len(w)}, expected {d}")
             mono_parse(w)
-        if len(set(words)) != len(words):
-            raise ValueError("malformed design object: duplicate terms")
-        check_dim(d)
     values = np.sort(values, kind="stable")
     if np.any(values[1:] == values[:-1]):
         raise ValueError("malformed design object: duplicate terms")
@@ -416,8 +400,9 @@ def design_from_dict(obj: dict) -> DesignPoly:
 
 def dumps_design(design: DesignPoly, family: Optional[str] = None,
                  m: object = "auto") -> str:
-    """json.dumps(design_to_dict(...), indent=2) plus a newline, with the terms
-    block written from one (n, d + 8) byte array of '    "word",' lines."""
+    """The design file: json.dumps of {"d", "m", "family", "terms"}, with the
+    terms as binary words in graded-lex order, indent=2, plus a newline; the
+    terms block is written from one (n, d + 8) byte array of '    "word",' lines."""
     if m == "auto":
         m = design.is_equitable()
     head = json.dumps({"d": design.dim, "m": m, "family": family, "terms": []}, indent=2)
@@ -426,7 +411,7 @@ def dumps_design(design: DesignPoly, family: Optional[str] = None,
         return head + "\n"
     lines = np.empty((n, d + 8), dtype=np.uint8)
     lines[:, :5] = np.frombuffer(b'    "', dtype=np.uint8)
-    np.add(to_bits(design.ordered_terms)[:, :d], ord("0"), out=lines[:, 5:d + 5])
+    np.add(to_bits(design.ordered_terms, d), ord("0"), out=lines[:, 5:d + 5])
     lines[:, d + 5:] = np.frombuffer(b'",\n', dtype=np.uint8)
     lines[-1, d + 6] = ord("\n")  # no comma after the last word
     block = lines.reshape(-1)[:-1].tobytes().decode("ascii")

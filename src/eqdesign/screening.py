@@ -61,7 +61,6 @@ def w_transform(x: np.ndarray) -> np.ndarray:
 class BenchmarkFunction:
     """Deterministic 20-factor benchmark; callable on points or arrays of points."""
 
-    seed: int
     beta0: float
     beta1: np.ndarray       # (20,)
     beta2: np.ndarray       # (20, 20), upper triangular i<j
@@ -102,7 +101,7 @@ def build_test_function(seed: int) -> BenchmarkFunction:
     beta2[_PAIR_ROWS, _PAIR_COLS] = -15.0
     beta2[_PAIR_ROWS[_FREE_PAIRS], _PAIR_COLS[_FREE_PAIRS]] = rng.standard_normal(
         np.count_nonzero(_FREE_PAIRS))
-    return BenchmarkFunction(seed=seed, beta0=beta0, beta1=beta1, beta2=beta2)
+    return BenchmarkFunction(beta0=beta0, beta1=beta1, beta2=beta2)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 from hypothesis import strategies as st
 
-from eqdesign.poly import DesignPoly, design_to_dict
+from eqdesign.poly import DesignPoly, mono_str
 
 
 def term_set(design):
@@ -66,8 +66,13 @@ def permute_reference(mono, perm):
 
 
 def dumps_design_reference(design, family=None, m="auto"):
-    """The design file as json.dumps writes the canonical dict."""
-    return json.dumps(design_to_dict(design, family=family, m=m), indent=2) + "\n"
+    """The design file as json.dumps writes it, one mono_str per term in
+    graded-lex order."""
+    if m == "auto":
+        m = design.is_equitable()
+    terms = [mono_str(t, design.dim) for t in design.ordered_terms.tolist()]
+    return json.dumps({"d": design.dim, "m": m, "family": family, "terms": terms},
+                      indent=2) + "\n"
 
 
 def incidence_reference(vertices, direction):

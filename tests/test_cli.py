@@ -328,6 +328,26 @@ def test_an_empty_output_path_exits_2_and_writes_nothing(tmp_path, capsys, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "g.json"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("generate", "--family", "G", "--d", "3", "--out", "adir"),
+    ("screen", "--config", "cfg.json", "--out", "r.csv", "--metadata", "adir"),
+    ("screen", "--config", "cfg.json", "--out", "adir", "--metadata", "r.csv"),
+], ids=["generate", "screen-metadata", "screen-out"])
+def test_an_output_path_that_is_a_directory_exits_3_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": 0}))
+    (tmp_path / "r.csv").write_text("old\n")
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == cli.EXIT_IO
+    assert stderr == "error: cannot write adir: [Errno 21] Is a directory: 'adir'\n"
+    assert stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "cfg.json", "r.csv"]
+    assert not list((tmp_path / "adir").iterdir())
+    assert (tmp_path / "r.csv").read_text() == "old\n"
+
+
 def test_failed_write_leaves_the_target_whole(tmp_path):
     target = tmp_path / "report.csv"
     target.write_bytes(b"factor,mu\n1,0.5\n")

@@ -6,9 +6,9 @@ import pytest
 from eqdesign import poly
 from eqdesign.effects import randomize
 from eqdesign.families import (CACHE_SIZE, FAMILIES, MAX_DESIGN_VERTICES, alpha_h,
-                               economy_limits, gen_G, gen_H, gen_M, gen_path,
-                               generate, leaf_counts, min_size_oracle,
-                               predicted_size, predicted_size_G,
+                               check_domain, economy_limits, gen_G, gen_H,
+                               gen_M, gen_path, generate, leaf_counts,
+                               min_size_oracle, predicted_size, predicted_size_G,
                                predicted_size_H, predicted_size_M, q_min)
 from eqdesign.poly import MAX_DIM, DesignPoly, mono_from_vars
 from eqdesign.screening import MAX_SCREEN_CELLS, ScreenConfig
@@ -41,6 +41,14 @@ def test_gen_G_range_errors():
         gen_G(3, 0)
     with pytest.raises(ValueError):
         gen_G(0, 1)
+
+
+@pytest.mark.parametrize("d", ["3", 3.0, None, True])
+@pytest.mark.parametrize("check", [predicted_size, generate, check_domain])
+def test_a_dimension_that_is_not_an_int_is_refused(check, d):
+    with pytest.raises(ValueError) as excinfo:
+        check("G", d, 1)
+    assert str(excinfo.value) == f"ambient dimension must be in [1, 62], got {d!r}"
 
 
 def test_predicted_size_G():

@@ -165,13 +165,13 @@ def test_design_from_dict_validation():
     ({"d": 62, "terms": ["1" * 62, "0" * 62, "1" * 62]},
      "malformed design object: duplicate terms"),
     ({"d": True, "terms": ["1"]}, "ambient dimension must be in [1, 62], got True"),
-    ({"d": True, "terms": ["1", "1"]}, "malformed design object: duplicate terms"),
-    ({"d": "3", "terms": ["010"]}, "term '010' has length 3, expected 3"),
+    ({"d": True, "terms": ["1", "1"]}, "ambient dimension must be in [1, 62], got True"),
+    ({"d": "3", "terms": ["010"]}, "ambient dimension must be in [1, 62], got '3'"),
     ({"d": "3", "terms": []}, "ambient dimension must be in [1, 62], got '3'"),
     ({"d": 3.0, "terms": ["010"]}, "ambient dimension must be in [1, 62], got 3.0"),
-    ({"d": None, "terms": ["010"]}, "term '010' has length 3, expected None"),
+    ({"d": None, "terms": ["010"]}, "ambient dimension must be in [1, 62], got None"),
     ({"d": 63, "terms": ["1" * 63]}, "ambient dimension must be in [1, 62], got 63"),
-    ({"d": 0, "terms": [""]}, "not a binary word: ''"),
+    ({"d": 0, "terms": [""]}, "ambient dimension must be in [1, 62], got 0"),
     ({"d": 3, "terms": ["000", 5]},
      "malformed design object: 'terms' must be a list of binary words"),
     ({"d": 3, "terms": "000"},

@@ -57,9 +57,9 @@ def test_test_function_matches_the_per_pair_draws():
 
 def test_test_function_zero_point():
     f = build_test_function(1)
-    zeroed = BenchmarkFunction(seed=f.seed, beta0=0.0,
-                          beta1=np.where(np.abs(f.beta1) == 20.0, f.beta1, 0.0),
-                          beta2=np.where(f.beta2 == -15.0, f.beta2, 0.0))
+    zeroed = BenchmarkFunction(beta0=0.0,
+                               beta1=np.where(np.abs(f.beta1) == 20.0, f.beta1, 0.0),
+                               beta2=np.where(f.beta2 == -15.0, f.beta2, 0.0))
     # point where every w_i = 0: x = 0.5 on linear coords, x = 1/12 on rational ones
     x = np.full(20, 0.5)
     for i in (3, 5, 7):
