@@ -144,9 +144,6 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     design = _read(args.input, "design from", poly.loads_design)
-    if not len(design):
-        print("profile=() equitable, m=0")
-        return EXIT_OK
     profile = design.edge_profile()
     print(f"profile={profile}")
     m = poly.common_multiplicity(profile)

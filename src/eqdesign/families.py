@@ -236,8 +236,8 @@ def check_domain(family: str, d: int, m: int) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     check_dim(d)
-    if not 1 <= m <= 1 << (d - 1):
-        raise ValueError(f"m must be in [1, 2^(d-1)] = [1, {1 << (d - 1)}], got {m}")
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= 1 << (d - 1):
+        raise ValueError(f"m must be in [1, 2^(d-1)] = [1, {1 << (d - 1)}], got {m!r}")
     if family == "H" and m < 2:
         raise ValueError(f"family 'H' starts at m=2, got m={m}")
     if family == "path" and m != 1:
@@ -248,10 +248,11 @@ def check_domain(family: str, d: int, m: int) -> None:
 
 # generate() refuses designs above this many vertices.  The design itself is
 # an int64 array, 8 bytes a vertex (32 MB at the cap), but at d=62 the CLI's
-# design-file commands peak at about 315 (generate), 385 (verify) and 440
-# (pairs) bytes a vertex (child max RSS above a bare interpreter's, H(62, 30000)
-# with 1.07M vertices), so about 1.3, 1.6 and 1.9 GB at the cap; and a screen
-# embeds a design as a float array of 8*d bytes per vertex.
+# design-file commands peak at about 300 (generate), 200 (verify) and 420
+# (pairs) bytes a vertex (child max RSS above that of an interpreter that has
+# imported eqdesign.cli, on H(62, 8000) and H(62, 30000), 0.30M and 1.07M
+# vertices), so about 1.3, 0.9 and 1.8 GB at the cap; and a screen embeds a
+# design as a float array of 8*d bytes per vertex.
 MAX_DESIGN_VERTICES = 1 << 22
 
 

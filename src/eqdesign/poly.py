@@ -11,11 +11,12 @@ Since d <= 62, every monomial fits in an int64, and a design is one strictly
 increasing int64 array of its monomials.  Every operation is an array pass:
 mirror is an XOR and a sort, union a merge, shift a left shift, relabelling
 one lookup per byte in a table of byte images, and the edge counts,
-graded-lex order and binary-word (de)serialization work on the whole array
-at once.  A randomized replicate, a reflection then a relabelling, is an
-automorphism of Q_d, so `image` carries the base design's edges to it
-without a new search; since relabelling is linear over GF(2), it relabels
-the base terms and XORs them with the relabelled reflection.
+graded-lex order and binary-word serialization work on the whole array at
+once (parsing, on a block of words at a time).  A randomized replicate, a
+reflection then a relabelling, is an automorphism of Q_d, so `image`
+carries the base design's edges to it without a new search; since
+relabelling is linear over GF(2), it relabels the base terms and XORs them
+with the relabelled reflection.
 """
 from __future__ import annotations
 
@@ -354,17 +355,9 @@ def format_words(values: np.ndarray, dim: int) -> list:
     return [text[k:k + dim] for k in range(0, len(text), dim)]
 
 
-def _parse_words(words: list, text: str, d: int) -> Optional[np.ndarray]:
-    """mono_parse of every word, as one int64 array in the words' order, given
-    their concatenation `text`; None unless every word is a binary word of
-    length d."""
-    if set(map(len, words)) - {d} or not text.isascii():
-        return None
-    # one uint8 temporary: every character but '0' and '1' wraps to above 1
-    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
-    if bits.max(initial=0) > 1:
-        return None
-    return from_bits(bits.reshape(-1, d))
+# design_from_dict parses this many words at a time, so its temporaries do not
+# grow with the design
+_WORDS_PER_BLOCK = 1 << 15
 
 
 def design_from_dict(obj: dict) -> DesignPoly:
@@ -376,23 +369,24 @@ def design_from_dict(obj: dict) -> DesignPoly:
         words = obj["terms"]
     except KeyError as exc:
         raise ValueError(f"malformed design object: missing {exc}") from exc
-    try:
-        if not isinstance(words, list):
-            raise TypeError
-        text = "".join(words)  # TypeError unless every word is a string
-    except TypeError:
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise ValueError("malformed design object: 'terms' must be a list of "
-                         "binary words") from None
+                         "binary words")
     check_dim(d)
-    values = _parse_words(words, text, d)
-    if values is None:
-        # a word is bad: check word by word, which raises on the first fault
-        # (its length, then its characters)
-        for w in words:
-            if len(w) != d:
-                raise ValueError(f"term {w!r} has length {len(w)}, expected {d}")
-            mono_parse(w)
-    values = np.sort(values, kind="stable")
+    values = np.empty(len(words), dtype=np.int64)
+    for start in range(0, len(words), _WORDS_PER_BLOCK):
+        block = words[start:start + _WORDS_PER_BLOCK]
+        # one byte a character: every character but '0' and '1' wraps to above 1
+        bits = np.frombuffer("".join(block).encode("ascii", "replace"), np.uint8) - ord("0")
+        if set(map(len, block)) != {d} or bits.max() > 1:
+            # a word is bad: walk the block, which raises on its first fault
+            # (the word's length, then its characters)
+            for w in block:
+                if len(w) != d:
+                    raise ValueError(f"term {w!r} has length {len(w)}, expected {d}")
+                mono_parse(w)
+        values[start:start + len(block)] = from_bits(bits.reshape(-1, d))
+    values.sort(kind="stable")
     if np.any(values[1:] == values[:-1]):
         raise ValueError("malformed design object: duplicate terms")
     return DesignPoly(d, values)
@@ -419,7 +413,8 @@ def dumps_design(design: DesignPoly, family: Optional[str] = None,
 
 
 def loads_design(text: str) -> DesignPoly:
-    """The design in a JSON text; the parsed object is freed on return."""
+    """The design in a JSON text.  design_from_dict reads its words a block at
+    a time, and the parsed object is freed on return."""
     return design_from_dict(json.loads(text))
 
 

@@ -96,7 +96,7 @@ def test_verify_empty_design(tmp_path, capsys):
     empty.write_text(json.dumps({"d": 3, "m": None, "family": None, "terms": []}))
     code, stdout, _ = run_cli(capsys, "verify", "--in", str(empty))
     assert code == 0
-    assert "m=0" in stdout
+    assert stdout == "profile=(0, 0, 0)\nequitable, m=0\n"
 
 
 def test_verify_parse_error(tmp_path, capsys):

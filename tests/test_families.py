@@ -51,6 +51,16 @@ def test_a_dimension_that_is_not_an_int_is_refused(check, d):
     assert str(excinfo.value) == f"ambient dimension must be in [1, 62], got {d!r}"
 
 
+@pytest.mark.parametrize("m", ["2", 2.0, None, True, np.int64(2)],
+                         ids=["str", "float", "None", "bool", "int64"])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("check", [predicted_size, generate, check_domain])
+def test_a_multiplicity_that_is_not_an_int_is_refused(check, family, m):
+    with pytest.raises(ValueError) as excinfo:
+        check(family, 5, m)
+    assert str(excinfo.value) == f"m must be in [1, 2^(d-1)] = [1, 16], got {m!r}"
+
+
 def test_predicted_size_G():
     assert predicted_size_G(7, 1) == 8
     assert predicted_size_G(19, 5) == 88

@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from eqdesign import poly
 from eqdesign.poly import (DesignPoly, DimensionMismatch, common_multiplicity,
-                           design_from_dict, dumps_design, loads_design,
+                           design_from_dict, dumps_design, format_words, loads_design,
                            mono_from_vars, mono_name, mono_parse, mono_str, to_dot)
 
 from conftest import term_set
@@ -180,11 +183,41 @@ def test_design_from_dict_validation():
     (5, "malformed design object: expected a JSON object, got int"),
     (None, "malformed design object: expected a JSON object, got NoneType"),
     ("x", "malformed design object: expected a JSON object, got str"),
+    ({"d": 3, "terms": ["0\ud8000"]}, "not a binary word: '0\\ud8000'"),
+    ({"d": 3, "terms": ["0\U0001d7d80"]}, "not a binary word: '0\U0001d7d80'"),
 ])
 def test_design_from_dict_messages(obj, message):
     with pytest.raises(ValueError) as excinfo:
         design_from_dict(obj)
     assert str(excinfo.value) == message
+
+
+# with two words a block, the first bad word lies in the second or third block
+@pytest.mark.parametrize("words, message", [
+    (["000", "100", "010", "0a0", "01", "110"], "not a binary word: '0a0'"),
+    (["000", "100", "0a0", "010", "01", "110"], "not a binary word: '0a0'"),
+    (["000", "100", "010", "110", "01", "0a0"], "term '01' has length 2, expected 3"),
+])
+def test_design_from_dict_reports_the_first_bad_word_across_blocks(monkeypatch, words, message):
+    monkeypatch.setattr(poly, "_WORDS_PER_BLOCK", 2)
+    with pytest.raises(ValueError) as excinfo:
+        design_from_dict({"d": 3, "terms": words})
+    assert str(excinfo.value) == message
+
+
+def test_design_from_dict_parses_in_bounded_memory():
+    n, d = 4 * poly._WORDS_PER_BLOCK, 62
+    values = np.arange(n, dtype=np.int64) << 40
+    obj = {"d": d, "terms": format_words(values, d)}
+    tracemalloc.start()
+    try:
+        design = design_from_dict(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(design.sorted_terms, values)
+    # the int64 array, plus a few bytes per character of one block
+    assert peak < 8 * n + 4 * poly._WORDS_PER_BLOCK * d
 
 
 def test_design_from_dict_reads_full_width_words():

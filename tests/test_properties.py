@@ -3,11 +3,13 @@ and fuzzing of the two parsers of outside input."""
 import json
 import math
 import numbers
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqdesign import poly
 from eqdesign.effects import build_incidence, embed, elementary_effects, \
     order_vertices, randomize
 from eqdesign.families import FAMILIES, gen_G, gen_H, gen_M, gen_path, q_min
@@ -199,14 +201,17 @@ def test_config_from_dict_rejects_wrong_types(name, value):
         config_from_dict({"seed": 0, name: value})
 
 
-@given(st.one_of(
+design_texts = st.one_of(
     st.fixed_dictionaries({
         "d": st.integers(-1, 6) | json_scalars,
         "terms": st.lists(st.text(alphabet="01", max_size=6) | json_scalars, max_size=6)
         | json_values,
     }).map(json.dumps),
     json_values.map(json.dumps),
-    st.text(max_size=20)))
+    st.text(max_size=20))
+
+
+@given(design_texts)
 def test_loads_design_is_faithful_or_rejected(text):
     try:
         design = loads_design(text)
@@ -214,6 +219,12 @@ def test_loads_design_is_faithful_or_rejected(text):
         return
     words = json.loads(text)["terms"]
     assert sorted(mono_str(t, design.dim) for t in term_set(design)) == sorted(words)
+
+
+@given(design_texts)
+def test_loads_design_is_faithful_or_rejected_three_words_a_block(text):
+    with mock.patch.object(poly, "_WORDS_PER_BLOCK", 3):
+        test_loads_design_is_faithful_or_rejected.hypothesis.inner_test(text)
 
 
 # -- the int64 array passes at full width (d up to 62, terms past 2^53) -------
