@@ -156,7 +156,7 @@ def cmd_verify(args) -> int:
 
 def cmd_economy(args) -> int:
     d = args.d
-    families.check_domain("G", d, 1)  # G(d, 1) exists for every valid d
+    poly.check_dim(d)
     if args.m_max is not None and args.m_max < 1:
         raise ValueError(f"--m-max must be >= 1, got {args.m_max}")
     m_max = min(args.m_max or 1 << (d - 1), 1 << (d - 1))

@@ -39,9 +39,7 @@ class EffectIncidence:
     int64 views into the design's grlex_pairs).
 
     `pairs` lists them as 1-based (row, col, sign) tuples, built on request.
-    Sign is +1 when the row vertex sits at coordinate 0 of direction i, so a
-    signed difference sign*(f[col] - f[row]) is upper-minus-lower; in
-    graded-lex order that is every pair.
+    Sign is always +1: the row is the lower endpoint (see grlex_pairs).
     """
 
     rows: np.ndarray

@@ -10,13 +10,14 @@ computations.
 Since d <= 62, every monomial fits in an int64, and a design is one strictly
 increasing int64 array of its monomials.  Every operation is an array pass:
 mirror is an XOR and a sort, union a merge, shift a left shift, relabelling
-one lookup per byte in a table of byte images, and the edge counts,
-graded-lex order and binary-word serialization work on the whole array at
-once (parsing, on a block of words at a time).  A randomized replicate, a
-reflection then a relabelling, is an automorphism of Q_d, so `image`
-carries the base design's edges to it without a new search; since
-relabelling is linear over GF(2), it relabels the base terms and XORs them
-with the relabelled reflection.
+one lookup per byte in a table of byte images, and graded-lex order and
+binary-word serialization work on the whole array at once (parsing, on a
+block of words at a time).  The edges, listed in graded-lex positions by
+direction, are found by one searchsorted per direction, already in order.
+A randomized replicate, a reflection then a relabelling, is an automorphism
+of Q_d, so `image` carries the base design's edges to it without a new
+search; since relabelling is linear over GF(2), it relabels the base terms
+and XORs them with the relabelled reflection.
 """
 from __future__ import annotations
 
@@ -107,30 +108,6 @@ def from_bits(bits: np.ndarray) -> np.ndarray:
     return octets.view("<i8").ravel()
 
 
-def edge_index(values: np.ndarray, dim: int) -> tuple:
-    """All edges among the value-sorted int64 vertices `values` of Q_dim.
-
-    Returns (direction, lower, upper) arrays: each edge's 0-based direction
-    and the positions in `values` of its endpoints, the lower one having the
-    bit unset; edges come by direction, then lower endpoint.
-
-    One pass per direction i: the vertices with bit i set, that bit cleared,
-    stay in sorted order, and one searchsorted into `values` finds each
-    one's lower endpoint where it exists.
-    """
-    lowers, uppers = [], []
-    for i in range(dim):
-        upper = np.flatnonzero(values & (1 << i))
-        partner = values[upper] ^ (1 << i)
-        # a partner above every vertex gets len(values): clamped, it misses
-        lower = np.minimum(np.searchsorted(values, partner), len(values) - 1)
-        hit = values[lower] == partner
-        lowers.append(lower[hit])
-        uppers.append(upper[hit])
-    direction = np.repeat(np.arange(dim, dtype=np.int64), [len(run) for run in lowers])
-    return direction, np.concatenate(lowers), np.concatenate(uppers)
-
-
 def _merge(a: np.ndarray, b: np.ndarray) -> tuple:
     """(merged, repeats) of two strictly increasing int64 arrays: all their
     terms in increasing order, and a mask, one shorter, that is True where a
@@ -211,24 +188,29 @@ class DesignPoly:
         endpoint has one more degree than its lower one, so it comes later in
         graded-lex order: row is always the lower endpoint and col the upper.
 
-        Found by edge_index on first request, or carried from the base
-        design into the result of its `image`.
+        Found on first request, one pass per direction i, or carried from the
+        base design into the result of its `image`.  The upper endpoints are
+        the terms with bit i set, taken in graded-lex order; one searchsorted
+        into sorted_terms finds each one's partner with bit i cleared, where
+        it exists.  Clearing the bit lowers every such term's degree by 1 and
+        its value by 2^i, so the partners keep that order and the rows come
+        out ascending with no sort.
         """
-        direction, lower, upper = edge_index(self.sorted_terms, self.dim)
+        terms, values = self.ordered_terms, self.sorted_terms
         position = np.empty(len(self), dtype=np.int64)  # of each term in graded-lex order
         position[self.grlex_index] = np.arange(len(self))
-        return self._by_direction(direction, position[lower], position[upper])
-
-    def _by_direction(self, direction: np.ndarray, rows: np.ndarray,
-                      cols: np.ndarray) -> tuple:
-        """grlex_pairs from this design's edges in any order, given as each
-        edge's 0-based direction and graded-lex endpoint positions."""
-        # by direction, then row: one sort of a combined key (rows < len(self)),
-        # distinct since a vertex has at most one upper neighbour per direction
-        order = np.argsort(direction * len(self) + rows)
+        rows, cols = [], []
+        for i in range(self.dim):
+            upper = np.flatnonzero(terms & (1 << i))
+            partner = terms[upper] ^ (1 << i)
+            # a partner above every vertex gets len(values): clamped, it misses
+            lower = np.minimum(np.searchsorted(values, partner), len(values) - 1)
+            hit = values[lower] == partner
+            rows.append(position[lower[hit]])
+            cols.append(upper[hit])
         starts = np.zeros(self.dim + 1, dtype=np.int64)
-        np.cumsum(np.bincount(direction, minlength=self.dim), out=starts[1:])
-        return _frozen(rows[order]), _frozen(cols[order]), starts.tolist()
+        np.cumsum([len(run) for run in rows], out=starts[1:])
+        return _frozen(np.concatenate(rows)), _frozen(np.concatenate(cols)), starts.tolist()
 
     def _require_same_dim(self, other: "DesignPoly") -> None:
         if self.dim != other.dim:
@@ -318,10 +300,16 @@ class DesignPoly:
         position = np.empty_like(order)  # of each of our ordered_terms in the image's
         position[order[image.grlex_index]] = np.arange(len(order))
         rows, cols, starts = self.grlex_pairs
+        direction = np.repeat(np.asarray(perm) - 1, np.diff(starts))
         rows, cols = position[rows], position[cols]
-        image.__dict__["grlex_pairs"] = image._by_direction(
-            np.repeat(np.asarray(perm) - 1, np.diff(starts)),
-            np.minimum(rows, cols), np.maximum(rows, cols))
+        rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+        # by direction, then row: one sort of a combined key (rows < len(image)),
+        # distinct since a vertex has at most one upper neighbour per direction
+        by_direction = np.argsort(direction * len(image) + rows)
+        starts = np.zeros(self.dim + 1, dtype=np.int64)  # the image's
+        np.cumsum(np.bincount(direction, minlength=self.dim), out=starts[1:])
+        image.__dict__["grlex_pairs"] = (_frozen(rows[by_direction]),
+                                         _frozen(cols[by_direction]), starts.tolist())
         return image
 
     def shift(self, k: int, new_dim: int) -> "DesignPoly":
@@ -425,7 +413,8 @@ def to_dot(design: DesignPoly, name: str = "design") -> str:
     lines += [f'  "{w}";' for w in words]
     rows, cols, starts = design.grlex_pairs
     direction = np.repeat(np.arange(design.dim), np.diff(starts))
-    order = np.argsort(rows * design.dim + direction, kind="stable")  # by row, then direction
+    # by row, then direction: the listing is by direction, then row, already
+    order = np.argsort(rows, kind="stable")
     lines += [f'  "{words[lo]}" -- "{words[hi]}" [dir={k}];'
               for lo, hi, k in zip(rows[order].tolist(), cols[order].tolist(),
                                    (direction[order] + 1).tolist())]

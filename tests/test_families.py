@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -357,12 +358,14 @@ def test_caches_are_bounded():
 def test_generate_leaves_edges_uncomputed(monkeypatch):
     # construction mirrors sub-designs, which must stay a plain sort: no edge
     # search, and no edges to carry into the result
-    def no_search(*args):
+    def no_search(design):
         raise AssertionError("family construction searched for edges")
 
+    hooked = functools.cached_property(no_search)
+    hooked.__set_name__(poly.DesignPoly, "grlex_pairs")
     for cache in (gen_path, gen_G, gen_H, gen_M):
         cache.cache_clear()
-    monkeypatch.setattr(poly, "edge_index", no_search)
+    monkeypatch.setattr(poly.DesignPoly, "grlex_pairs", hooked)
     for family, d, m in (("G", 20, 4), ("G", 30, 200), ("H", 30, 200), ("M", 20, 4),
                          ("M", 30, 200), ("path", 20, 1)):
         design = generate(family, d, m)

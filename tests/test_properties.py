@@ -1,5 +1,6 @@
 """Property-based checks of the algebraic invariants behind the design families,
 and fuzzing of the two parsers of outside input."""
+import itertools
 import json
 import math
 import numbers
@@ -13,7 +14,7 @@ from eqdesign import poly
 from eqdesign.effects import build_incidence, embed, elementary_effects, \
     order_vertices, randomize
 from eqdesign.families import FAMILIES, gen_G, gen_H, gen_M, gen_path, q_min
-from eqdesign.poly import (DesignPoly, dumps_design, edge_index, format_words,
+from eqdesign.poly import (DesignPoly, dumps_design, format_words,
                            loads_design, mono_name, mono_str)
 from eqdesign.screening import ScreenConfig, config_from_dict
 
@@ -118,15 +119,15 @@ def test_appendix_cross_family_condition(d, data):
 def test_incidence_pairs_per_direction(arg):
     design, m = arg
     od = order_vertices(design)
+    vertices = od.ordered_terms.tolist()
     for i in range(1, design.dim + 1):
         inc = build_incidence(od, i)
         assert len(inc.pairs) == m
         rows = [r for r, _, _ in inc.pairs]
         assert len(rows) == len(set(rows))
-        got = {(od.ordered_terms[r - 1] & ~(1 << (i - 1)) if s == 1 else od.ordered_terms[c - 1] & ~(1 << (i - 1)),
-                od.ordered_terms[r - 1] | (1 << (i - 1)) if s == 1 else od.ordered_terms[c - 1] | (1 << (i - 1)))
-               for r, c, s in inc.pairs}
-        assert got == brute_direction_pairs(od.ordered_terms, i)
+        assert all(s == 1 for _, _, s in inc.pairs)
+        got = {(vertices[r - 1], vertices[c - 1]) for r, c, _ in inc.pairs}
+        assert got == brute_direction_pairs(vertices, i)
 
 
 @settings(max_examples=50)
@@ -425,24 +426,25 @@ def test_of_sorts_and_drops_repeats():
 
 # -- edges: one search per base design, inherited by every replicate ---------
 
-def edge_triples(edges):
-    return list(zip(*(column.tolist() for column in edges)))
-
-
 @given(wide_design_polys())
-def test_wide_edge_index_matches_bit_loop(p):
-    values = p.sorted_terms.tolist()
-    index = {v: k for k, v in enumerate(values)}
-    # by direction, then lower endpoint
-    expected = [(i, index[v], index[v | 1 << i]) for i in range(p.dim)
-                for v in values if not v >> i & 1 and v | 1 << i in index]
-    assert edge_triples(edge_index(p.sorted_terms, p.dim)) == expected
+def test_wide_grlex_pairs_match_bit_loop(p):
+    ordered = grlex_reference(term_set(p))
+    position = {v: k for k, v in enumerate(ordered)}
+    # by direction, then row: the lower endpoint's graded-lex position
+    expected = [[(position[v], position[v | 1 << i]) for v in ordered
+                 if not v >> i & 1 and v | 1 << i in position] for i in range(p.dim)]
+    rows, cols, starts = p.grlex_pairs
+    assert list(zip(rows.tolist(), cols.tolist())) == [pair for run in expected for pair in run]
+    assert starts == list(itertools.accumulate(map(len, expected), initial=0))
 
 
 @pytest.mark.parametrize("terms", [[], [0, 3, 5, 6, 3 << 60]], ids=["empty", "edgeless"])
-def test_edge_index_without_edges_is_three_empty_arrays(terms):
-    edges = edge_index(np.array(terms, dtype=np.int64), 62)
-    assert [(column.dtype, column.shape) for column in edges] == [(np.int64, (0,))] * 3
+def test_grlex_pairs_without_edges_are_empty(terms):
+    p = DesignPoly(62, np.array(terms, dtype=np.int64))
+    rows, cols, starts = p.grlex_pairs
+    assert [(column.dtype, column.shape) for column in (rows, cols)] == [(np.int64, (0,))] * 2
+    assert starts == [0] * 63
+    assert p.edge_profile() == (0,) * 62
 
 
 @given(wide_design_polys(), st.data())

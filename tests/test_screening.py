@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -133,14 +134,16 @@ def test_screens_search_each_base_design_once(monkeypatch):
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
 
-    searches, search = [], poly.edge_index
+    searches, search = [], poly.DesignPoly.grlex_pairs.func
 
-    def counted(values, dim):
-        searches.append(len(values))
-        return search(values, dim)
+    def counted(design):
+        searches.append(len(design))
+        return search(design)
 
+    hooked = functools.cached_property(counted)
+    hooked.__set_name__(poly.DesignPoly, "grlex_pairs")
     clear_caches()
-    monkeypatch.setattr(poly, "edge_index", counted)
+    monkeypatch.setattr(poly.DesignPoly, "grlex_pairs", hooked)
     cycle = (("M", 4, 3), ("H", 4, 3), ("G", 4, 3), ("path", 1, 12))
     for seed, (family, m, r) in enumerate(cycle * 2):
         run_screen(ScreenConfig(family=family, m=m, r=r, seed=seed))
