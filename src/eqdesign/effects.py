@@ -2,11 +2,13 @@
 incidence, randomized replication, geometric embedding, and the mu/mu*/sigma
 statistics pooled over replicates.
 
-Every step works on arrays.  Ordering, incidence and embedding use the
-design's int64 vertices and their bit matrix; a randomized replicate reads
-its incidence off the edges it inherits from its base design.  An effect is
-a gather from the function values; the statistics are passes over all
-directions at once, summed left to right so reports are reproducible.
+Every step works on arrays.  Ordering and incidence use the design's int64
+vertices, and a randomized replicate reads its incidence off the edges it
+inherits from its base design.  Embedding gathers each point from tables of
+coordinate levels, one table row per byte of its vertex (poly.bit_levels).
+An effect is a gather from the function values; the statistics are passes
+over all directions at once, summed left to right so reports are
+reproducible.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import DesignPoly, format_words, to_bits
+from .poly import DesignPoly, bit_levels, format_words
 
 
 def order_vertices(design: DesignPoly) -> DesignPoly:
@@ -87,9 +89,12 @@ def randomize(design: DesignPoly, rng: np.random.Generator):
 
 @dataclass(frozen=True, eq=False)
 class ReplicatedDesign:
-    """One embedded replicate: points[k] corresponds to ordered_terms[k]."""
+    """One embedded replicate: points[k] corresponds to ordered_terms[k].
 
-    points: np.ndarray  # float (|S|, d), rows in [0,1]^d
+    points is a float (|S|, d) array, rows in [0,1]^d.  It is a view whose
+    rows are 8 * ceil(d/8) floats apart, as poly.bit_levels gathers them."""
+
+    points: np.ndarray
 
 
 _EPS = 1e-9
@@ -102,15 +107,18 @@ def embed(design: DesignPoly, base: Sequence[float], delta: float) -> Replicated
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     if len(base) != d:
         raise ValueError(f"base point has {len(base)} coordinates, expected {d}")
+    # coordinate i of a point is one of two levels, min(1, base[i] + delta * bit);
+    # base[i] + 0.0 turns a -0.0 coordinate into 0.0
+    levels = []
     for i, x in enumerate(base, 1):
         if not -_EPS <= x <= 1 - delta + _EPS:  # also true for NaN
             raise ValueError(f"base coordinate {x} outside [0, 1-delta]")
-        if min(1.0, x + delta) == x:
+        high = min(1.0, x + delta)
+        if high == x:
             raise ValueError(f"delta={delta} does not move base coordinate {i} from {x}")
-    # coordinate i of a point is one of two values, min(1, base[i] + delta * bit)
-    levels = np.array([[min(1.0, b + delta * bit) for b in base] for bit in (0, 1)])
-    points = np.where(to_bits(design.ordered_terms, d).view(bool), levels[1], levels[0])
-    return ReplicatedDesign(points=points)
+        levels += (min(1.0, x + 0.0), high)
+    return ReplicatedDesign(points=bit_levels(design.ordered_terms,
+                                              np.array(levels).reshape(d, 2)))
 
 
 def sample_base(d: int, delta: float, levels: int, rng: np.random.Generator) -> tuple:

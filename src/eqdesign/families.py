@@ -122,21 +122,29 @@ def alpha_h(m: int) -> Fraction:
 
 
 def predicted_size_H(d: int, m: int) -> int:
-    """Closed form |H| = c(m) + alpha(m) d; c depends on the parity of d - kappa."""
+    """Closed form |H| = c(m) + alpha(m) d; c depends on the parity of d - kappa.
+
+    Computed as 8|H| in integers: every denominator of c and alpha divides 8."""
     check_domain("H", d, m)
     lc = leaf_counts(m)
     kappa, i = lc.kappa, lc.i_offset
     eps = 1 if (d - kappa) % 2 == 0 else -1
     if i >= 0:
-        c = -m * Fraction(eps + 1, 2) - m * kappa + Fraction(3 * eps + 2 * kappa + 9, 4) * (1 << kappa)
+        # c = -m (eps + 1) / 2 - m kappa + (3 eps + 2 kappa + 9) 2^kappa / 4,
+        # alpha = m - 2^(kappa-1)
+        eight = (-4 * m * (eps + 1) - 8 * m * kappa
+                 + 2 * (3 * eps + 2 * kappa + 9) * (1 << kappa)
+                 + 8 * (m - (1 << (kappa - 1))) * d)
     else:
-        c = -Fraction(m, 2) * (Fraction(eps - 1, 2) + kappa) - Fraction(-3 * eps + 2 * kappa - 9, 8) * (1 << kappa)
-    value = c + alpha_h(m) * d
-    if value.denominator != 1:
-        raise ValueError(
-            f"size formula gives non-integer {value} at (d={d}, m={m}); outside its validity"
-        )
-    return int(value)
+        # c = -m ((eps - 1) / 2 + kappa) / 2 - (-3 eps + 2 kappa - 9) 2^kappa / 8,
+        # alpha = (m + 2^(kappa-1)) / 2
+        eight = (-2 * m * (eps - 1 + 2 * kappa)
+                 - (-3 * eps + 2 * kappa - 9) * (1 << kappa)
+                 + 4 * (m + (1 << (kappa - 1))) * d)
+    if eight % 8:
+        raise ValueError(f"size formula gives non-integer {Fraction(eight, 8)} at "
+                         f"(d={d}, m={m}); outside its validity")
+    return eight // 8
 
 
 def q_min(m: int) -> int:

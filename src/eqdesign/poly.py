@@ -10,10 +10,12 @@ computations.
 Since d <= 62, every monomial fits in an int64, and a design is one strictly
 increasing int64 array of its monomials.  Every operation is an array pass:
 mirror is an XOR and a sort, union a merge, shift a left shift, relabelling
-one lookup per byte in a table of byte images, and graded-lex order and
-binary-word serialization work on the whole array at once (parsing, on a
-block of words at a time).  The edges, listed in graded-lex positions by
-direction, are found by one searchsorted per direction, already in order.
+one lookup per byte in a table of byte images, and a vertex's coordinate
+levels for embedding one row per byte of a table of levels; graded-lex
+order and binary-word serialization work on the whole array at once
+(parsing, on a block of words at a time).  The edges, listed in graded-lex
+positions by direction, are found by one searchsorted per direction, already
+in order.
 A randomized replicate, a reflection then a relabelling, is an automorphism
 of Q_d, so `image` carries the base design's edges to it without a new
 search; since relabelling is linear over GF(2), it relabels the base terms
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -95,10 +97,47 @@ _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[None, :], axis=0,
                            bitorder="little").astype(np.int64)
 
 
+# _TABLE_START[k] = 256k: byte k's table starts at row 256k of bit_levels' tables
+_TABLE_START = 256 * np.arange(8)
+
+
+def _octets(values: np.ndarray) -> np.ndarray:
+    """The (n, 8) uint8 bytes of n int64 values, least significant first: byte
+    k holds bits 8k to 8k+7."""
+    return values.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+
+
 def to_bits(values: np.ndarray, dim: int) -> np.ndarray:
     """The (n, dim) uint8 bit matrix of n int64 vertices of Q_dim: column i holds bit i."""
-    octets = values.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(octets, axis=1, count=dim, bitorder="little")
+    return np.unpackbits(_octets(values), axis=1, count=dim, bitorder="little")
+
+
+# a screen embeds in one dimension; the bound caps what a process that works
+# in many keeps, at most 8 indices of up to 128 kB
+@lru_cache(maxsize=8)
+def _level_index(dim: int) -> np.ndarray:
+    """The (256 * ceil(dim/8), 8) index through which bit_levels builds its
+    tables from a raveled (dim, 2) array of levels: entry [256k + b, j] is
+    2(8k + j) + bit j of b, the position of coordinate 8k + j's level for the
+    value b of byte k, or 0 for a padding coordinate, 8k + j >= dim."""
+    coord = np.arange((dim + 7) // 8 * 8).reshape(-1, 1, 8)
+    return _frozen(np.where(coord < dim, 2 * coord + _BYTE_BITS.T, 0).reshape(-1, 8))
+
+
+def bit_levels(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The (n, dim) float matrix of n int64 vertices of Q_dim, for a (dim, 2)
+    float array `levels`: entry [k, i] is levels[i, bit i of values[k]].
+
+    A byte of a value selects the levels of 8 coordinates, so one table per
+    byte holds those 8 levels for each of its 256 values (one take through
+    a cached index), and a row is one table row per byte, side by side (one
+    more take).  The result is a view: its rows are 8 * ceil(dim/8) floats
+    apart, and the padding columns past dim hold copies of levels[0, 0]."""
+    dim = len(levels)
+    n_bytes = (dim + 7) // 8
+    tables = levels.ravel().take(_level_index(dim))
+    rows = tables.take(_octets(values)[:, :n_bytes] + _TABLE_START[:n_bytes], axis=0)
+    return rows.reshape(len(values), 8 * n_bytes)[:, :dim]
 
 
 def from_bits(bits: np.ndarray) -> np.ndarray:
@@ -274,7 +313,7 @@ class DesignPoly:
         weights = np.zeros(8 * n_bytes, dtype=np.int64)  # the image of each bit
         weights[:self.dim] = np.left_shift(1, np.asarray(perm, dtype=np.int64) - 1)
         table = weights.reshape(n_bytes, 8) @ _BYTE_BITS  # (n_bytes, 256)
-        octets = values.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+        octets = _octets(values)
         out = table[0].take(octets[:, 0])
         for k in range(1, n_bytes):
             out |= table[k].take(octets[:, k])

@@ -23,7 +23,9 @@ from .poly import mono_str
 
 # a screen's memory budget in float64 cells, 256 MB: both one replicate's
 # points, |S| * d coordinates, and the (d, r, m) effects array must fit in
-# it; a ScreenConfig above it is refused when built, before anything runs
+# it; a ScreenConfig above it is refused when built, before anything runs.
+# The points' rows are padded to 8 * ceil(d/8) floats a vertex, so they take
+# up to 32/25 of the budget (at d=25; below d=21 no design reaches it)
 MAX_SCREEN_CELLS = 1 << 25
 
 # coordinates given the saturating rational transform instead of the linear one

@@ -1,11 +1,17 @@
 """Shared brute-force oracles and hypothesis strategies for the test suite."""
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
+from eqdesign.families import alpha_h, leaf_counts
 from eqdesign.poly import DesignPoly, mono_str
+
+# more cases from a fixed seed, for CI: pytest --hypothesis-profile=ci (the
+# local default profile is unchanged)
+settings.register_profile("ci", derandomize=True, max_examples=300)
 
 
 def term_set(design):
@@ -131,3 +137,17 @@ def wide_design_polys(draw, min_size=0):
         for i in draw(st.lists(st.integers(0, d - 1), max_size=5)):
             terms.add(centre ^ (1 << i))
     return DesignPoly.of(d, terms)
+
+
+def predicted_size_H_reference(d, m):
+    """|H| = c(m) + alpha(m) d, as the closed form is written, in Fractions."""
+    lc = leaf_counts(m)
+    kappa, i = lc.kappa, lc.i_offset
+    eps = 1 if (d - kappa) % 2 == 0 else -1
+    if i >= 0:
+        c = (-m * Fraction(eps + 1, 2) - m * kappa
+             + Fraction(3 * eps + 2 * kappa + 9, 4) * (1 << kappa))
+    else:
+        c = (-Fraction(m, 2) * (Fraction(eps - 1, 2) + kappa)
+             - Fraction(-3 * eps + 2 * kappa - 9, 8) * (1 << kappa))
+    return c + alpha_h(m) * d

@@ -10,7 +10,7 @@ from eqdesign.effects import (build_incidence, elementary_effects, embed,
 from eqdesign.families import gen_G, gen_H, gen_path
 from eqdesign.poly import DesignPoly
 
-from conftest import brute_direction_pairs, sample_base_reference
+from conftest import brute_direction_pairs, embed_reference, sample_base_reference
 
 X1, X2, X3, X4 = 0b0001, 0b0010, 0b0100, 0b1000
 
@@ -131,6 +131,23 @@ def test_embed():
             embed(od, [0.0, 0.0], bad)
     with pytest.raises(ValueError):
         embed(od, [0.0], 0.25)
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 16, 17, 62])
+def test_embed_matches_the_reference_byte_for_byte(d):
+    # each side of the byte boundaries, where the rows are padded; every
+    # coordinate at both levels, and at d=62 terms with bit 61 set
+    rng = np.random.default_rng(d)
+    terms = [0, (1 << d) - 1, *rng.integers(0, 1 << d, 40).tolist()]
+    design = order_vertices(DesignPoly.of(d, terms))
+    assert d < 62 or any(t >> 61 for t in design.ordered_terms.tolist())
+    delta = 0.3
+    # a -0.0 coordinate, whose low level is 0.0, and one whose high level caps at 1.0
+    base = [-0.0, 0.7 + 1e-10, *rng.choice([0.0, 0.1, 0.25, 0.7], d).tolist()][:d]
+    points = embed(design, base, delta).points
+    assert points.shape == (len(design), d)
+    reference = embed_reference(design.ordered_terms.tolist(), base, delta)
+    assert points.astype("<f8").tobytes() == np.array(reference, dtype="<f8").tobytes()
 
 
 @pytest.mark.parametrize("delta", [1e-17, 1e-300])
@@ -261,7 +278,8 @@ def stats_reference(samples, estimator):
 @pytest.mark.parametrize("estimator", ["pooled", "between"])
 def test_pooled_stats_match_a_loop_reference(estimator):
     rng = np.random.default_rng(7)
-    for d, r, m in ((20, 3, 4), (3, 2, 1), (5, 12, 1), (30, 4, 200)):
+    # d=1 with r*m >= 9: an (r*m, 1) reduction is where numpy sums pairwise
+    for d, r, m in ((20, 3, 4), (3, 2, 1), (5, 12, 1), (1, 3, 3), (1, 20, 8), (30, 4, 200)):
         # magnitudes from 1e-8 to 1e8: every change of summation order shows
         samples = (rng.standard_normal((d, r, m))
                    * 10.0 ** rng.integers(-8, 9, (d, r, m))).tolist()

@@ -14,7 +14,7 @@ from eqdesign.families import (CACHE_SIZE, FAMILIES, MAX_DESIGN_VERTICES, alpha_
 from eqdesign.poly import MAX_DIM, DesignPoly, mono_from_vars
 from eqdesign.screening import MAX_SCREEN_CELLS, ScreenConfig
 
-from conftest import brute_edge_profile, term_set
+from conftest import brute_edge_profile, predicted_size_H_reference, term_set
 
 
 def test_path():
@@ -133,6 +133,14 @@ def test_predicted_size_H_closed_forms():
         assert predicted_size_H(d, 6) == 4 * d - 2
     assert predicted_size_H(19, 5) == 65
     assert alpha_h(5) == Fraction(7, 2)
+
+
+def test_predicted_size_H_is_the_closed_form_in_ints():
+    for d in range(2, 63):
+        top = 1 << (d - 1)
+        for m in {*range(2, min(top, 70) + 1), top - 1, top} - {1}:
+            size = predicted_size_H(d, m)
+            assert type(size) is int and size == predicted_size_H_reference(d, m), (d, m)
 
 
 def test_q_min():
