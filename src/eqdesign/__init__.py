@@ -2,7 +2,7 @@
 
 from .poly import (DesignPoly, DimensionMismatch, common_multiplicity,
                    design_from_dict, dumps_design, loads_design,
-                   mono_from_vars, mono_name, mono_parse, mono_str, to_dot)
+                   mono_from_vars, mono_parse, mono_str, to_dot)
 from .families import (FAMILIES, LeafDecomposition, check_domain,
                        economy_limits, gen_G, gen_H, gen_M, gen_path, generate,
                        leaf_counts, min_size_oracle, predicted_size,

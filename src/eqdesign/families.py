@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Tuple
 
+import numpy as np
+
 from .poly import DesignPoly, check_dim, mono_from_vars
 
 
@@ -47,14 +49,15 @@ def gen_path(d: int) -> DesignPoly:
 
 
 def _split(lo: DesignPoly, hi: DesignPoly, d: int) -> DesignPoly:
-    """lo + X1 Xd * hi, lifting both from dimension d-1 to d.
+    """lo + X1 Xd * hi, from two designs in dimension d-1.
 
     G and H both recurse through it on the two halves m // 2 and (m + 1) // 2
     of m; for even m they are equal, and the result is (1 + X1 Xd) * lo.
+    Every term of X1 Xd * hi holds X_d and no term of lo does, so in value
+    order the sum is lo followed by hi mirrored in X1, with X_d set.
     """
-    x1xd = mono_from_vars(1, d)
-    return DesignPoly(d, lo.sorted_terms).union_disjoint(
-        DesignPoly(d, hi.sorted_terms).mirror(x1xd))
+    upper = np.sort(hi.sorted_terms ^ 1) | 1 << (d - 1)
+    return DesignPoly(d, np.concatenate((lo.sorted_terms, upper)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -124,7 +127,8 @@ def alpha_h(m: int) -> Fraction:
 def predicted_size_H(d: int, m: int) -> int:
     """Closed form |H| = c(m) + alpha(m) d; c depends on the parity of d - kappa.
 
-    Computed as 8|H| in integers: every denominator of c and alpha divides 8."""
+    Computed as 8|H| in integers: every denominator of c and alpha divides 8,
+    and the eps that the parity of d - kappa picks makes 8|H| a multiple of 8."""
     check_domain("H", d, m)
     lc = leaf_counts(m)
     kappa, i = lc.kappa, lc.i_offset
@@ -141,9 +145,6 @@ def predicted_size_H(d: int, m: int) -> int:
         eight = (-2 * m * (eps - 1 + 2 * kappa)
                  - (-3 * eps + 2 * kappa - 9) * (1 << kappa)
                  + 4 * (m + (1 << (kappa - 1))) * d)
-    if eight % 8:
-        raise ValueError(f"size formula gives non-integer {Fraction(eight, 8)} at "
-                         f"(d={d}, m={m}); outside its validity")
     return eight // 8
 
 
@@ -167,15 +168,17 @@ def _m_decomposition(d: int, m: int) -> Tuple[Family, int, int, int]:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def gen_M(d: int, m: int) -> DesignPoly:
-    """Factored family: shifted H blocks over disjoint coordinate ranges sharing the origin."""
+    """Factored family: shifted H blocks over disjoint coordinate ranges sharing the origin.
+
+    Block j uses only X_{jq+1}..X_{jq+q}, so in value order it lies above the
+    blocks before it, and the design is the origin followed by each block
+    without its origin, shifted into place."""
     check_domain("M", d, m)
     family, q, copies, t = _m_decomposition(d, m)
-    # all blocks share the origin, their smallest term, which the design holds once
-    block, tail = (DesignPoly(k, family.build(k, m).sorted_terms[1:]) for k in (q, t))
-    design = DesignPoly.of(d, [0])
-    for j in range(copies):
-        design = design.union_disjoint(block.shift(j * q, d))
-    return design.union_disjoint(tail.shift(copies * q, d))
+    block, tail = (family.build(k, m).sorted_terms[1:] for k in (q, t))
+    return DesignPoly(d, np.concatenate([np.zeros(1, dtype=np.int64)]
+                                        + [block << j * q for j in range(copies)]
+                                        + [tail << copies * q]))
 
 
 def predicted_size_M(d: int, m: int) -> int:

@@ -9,7 +9,7 @@ computations.
 
 Since d <= 62, every monomial fits in an int64, and a design is one strictly
 increasing int64 array of its monomials.  Every operation is an array pass:
-mirror is an XOR and a sort, union a merge, shift a left shift, relabelling
+mirror is an XOR and a sort, the scalar product an intersection, relabelling
 one lookup per byte in a table of byte images, and a vertex's coordinate
 levels for embedding one row per byte of a table of levels; graded-lex
 order and binary-word serialization work on the whole array at once
@@ -72,13 +72,6 @@ def mono_parse(word: str) -> int:
     if not word or word.strip("01"):
         raise ValueError(f"not a binary word: {word!r}")
     return int(word[::-1], 2)
-
-
-def mono_name(mono: int) -> str:
-    """Human-readable form, e.g. 'X1X3'; the constant monomial is '1'."""
-    if mono == 0:
-        return "1"
-    return "".join(f"X{i + 1}" for i in range(mono.bit_length()) if (mono >> i) & 1)
 
 
 def common_multiplicity(profile: Sequence[int]) -> Optional[int]:
@@ -145,17 +138,6 @@ def from_bits(bits: np.ndarray) -> np.ndarray:
     octets = np.zeros((len(bits), 8), dtype=np.uint8)
     octets[:, :(bits.shape[1] + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
     return octets.view("<i8").ravel()
-
-
-def _merge(a: np.ndarray, b: np.ndarray) -> tuple:
-    """(merged, repeats) of two strictly increasing int64 arrays: all their
-    terms in increasing order, and a mask, one shorter, that is True where a
-    term equals its predecessor, i.e. lies in both arrays.
-
-    A stable sort of the concatenation is a merge of its two runs.
-    """
-    merged = np.sort(np.concatenate((a, b)), kind="stable")
-    return merged, merged[1:] == merged[:-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,20 +247,7 @@ class DesignPoly:
     def scalar(self, other: "DesignPoly") -> int:
         """Scalar product = size of the intersection of the two vertex sets."""
         self._require_same_dim(other)
-        _, repeats = _merge(self.sorted_terms, other.sorted_terms)
-        return int(np.count_nonzero(repeats))
-
-    def union_disjoint(self, other: "DesignPoly") -> "DesignPoly":
-        """Sum in 0/1 semantics; overlapping terms would leave K_d, so they are an error."""
-        self._require_same_dim(other)
-        merged, repeats = _merge(self.sorted_terms, other.sorted_terms)
-        if repeats.any():
-            overlap = merged[1:][repeats]
-            raise ValueError(
-                f"designs overlap on {len(overlap)} term(s), e.g. "
-                f"{mono_name(int(overlap[0]))}"
-            )
-        return DesignPoly(self.dim, merged)
+        return len(np.intersect1d(self.sorted_terms, other.sorted_terms, assume_unique=True))
 
     # -- graph quantities --------------------------------------------------
 
@@ -350,18 +319,6 @@ class DesignPoly:
         image.__dict__["grlex_pairs"] = (_frozen(rows[by_direction]),
                                          _frozen(cols[by_direction]), starts.tolist())
         return image
-
-    def shift(self, k: int, new_dim: int) -> "DesignPoly":
-        """Rename every variable index i to i+k, in ambient dimension new_dim."""
-        if k < 0:
-            raise ValueError("shift must be non-negative")
-        check_dim(new_dim)
-        top = int(self.sorted_terms[-1]).bit_length() if len(self) else 0
-        if top + k > new_dim:
-            raise ValueError(
-                f"shift by {k} pushes variable X{top} beyond dimension {new_dim}"
-            )
-        return DesignPoly(new_dim, self.sorted_terms << k)
 
     def economy(self, m: Optional[int] = None) -> Fraction:
         """Elementary effects per function evaluation, Gamma = m*d/|S|."""

@@ -1,4 +1,5 @@
 """Shared brute-force oracles and hypothesis strategies for the test suite."""
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import settings, strategies as st
 
-from eqdesign.families import alpha_h, leaf_counts
+from eqdesign.families import alpha_h, gen_G, gen_H, gen_path, leaf_counts, q_min
 from eqdesign.poly import DesignPoly, mono_str
 
 # more cases from a fixed seed, for CI: pytest --hypothesis-profile=ci (the
@@ -151,3 +152,36 @@ def predicted_size_H_reference(d, m):
         c = (-Fraction(m, 2) * (Fraction(eps - 1, 2) + kappa)
              - Fraction(-3 * eps + 2 * kappa - 9, 8) * (1 << kappa))
     return c + alpha_h(m) * d
+
+
+@functools.lru_cache(maxsize=None)
+def family_reference(family, d, m):
+    """The family's (d, m) design as the paper's sums state it, as a frozenset
+    of Python ints, from the base designs gen_G(d, 1), gen_H(d, 2),
+    gen_H(d, 3) and gen_path(d) up.
+
+    G and H: lo + X1 Xd * hi, with lo and hi the (d-1) designs at m // 2 and
+    (m + 1) // 2, which must not meet.  M: d = (c-1) q + t with q = q_min(m)
+    and t in [q, 2q-1]; c-1 copies of the width-q block (H, or path for
+    m = 1) shifted by jq, and the width-t block shifted by (c-1) q, which
+    must meet only at the origin."""
+    if family == "path":
+        return term_set(gen_path(d))
+    if (family, m) == ("G", 1):
+        return term_set(gen_G(d, 1))
+    if family == "H" and m in (2, 3):
+        return term_set(gen_H(d, m))
+    if family in ("G", "H"):
+        lo = family_reference(family, d - 1, m // 2)
+        hi = {t ^ (1 | 1 << (d - 1)) for t in family_reference(family, d - 1, (m + 1) // 2)}
+        assert not lo & hi, (family, d, m)
+        return lo | hi
+    q = q_min(m)
+    copies = d // q - 1
+    block = "path" if m == 1 else "H"
+    design = {0}
+    for j, width in enumerate([q] * copies + [q + d % q]):
+        shifted = {t << j * q for t in family_reference(block, width, m)}
+        assert design & shifted == {0}, (family, d, m)
+        design |= shifted
+    return frozenset(design)

@@ -14,7 +14,8 @@ from eqdesign.families import (CACHE_SIZE, FAMILIES, MAX_DESIGN_VERTICES, alpha_
 from eqdesign.poly import MAX_DIM, DesignPoly, mono_from_vars
 from eqdesign.screening import MAX_SCREEN_CELLS, ScreenConfig
 
-from conftest import brute_edge_profile, predicted_size_H_reference, term_set
+from conftest import (brute_edge_profile, family_reference, predicted_size_H_reference,
+                      term_set)
 
 
 def test_path():
@@ -178,8 +179,8 @@ def test_gen_M_blocks_share_only_origin():
     for (d, m) in [(6, 2), (20, 4), (12, 3), (19, 5)]:
         family, q, copies, t = _m_decomposition(d, m)
         assert family.build is gen_H  # m >= 2: the blocks come from H
-        blocks = [gen_H(q, m).shift(j * q, d) for j in range(copies)]
-        blocks.append(gen_H(t, m).shift(copies * q, d))
+        blocks = [DesignPoly(d, gen_H(q, m).sorted_terms << j * q) for j in range(copies)]
+        blocks.append(DesignPoly(d, gen_H(t, m).sorted_terms << copies * q))
         for a in range(len(blocks)):
             for b in range(a + 1, len(blocks)):
                 assert term_set(blocks[a]) & term_set(blocks[b]) == {0}
@@ -308,8 +309,8 @@ def _connected(design) -> bool:
         label = low
 
 
-def test_designs_connected():
-    checked = 0
+def _small_designs():
+    """(family, d, m, design) for every in-domain design with d <= 8."""
     for d in range(1, 9):
         for m in range(1, (1 << (d - 1)) + 1):
             for family in FAMILIES:
@@ -317,11 +318,22 @@ def test_designs_connected():
                     design = generate(family, d, m)
                 except ValueError:
                     continue  # outside the family's domain
-                assert _connected(design), (family, d, m)
-                checked += 1
+                yield family, d, m, design
+
+
+def test_designs_connected():
+    checked = 0
+    for family, d, m, design in _small_designs():
+        assert _connected(design), (family, d, m)
+        checked += 1
     assert checked > 500
     assert not _connected(DesignPoly.of(3, [0, 0b011]))
     assert not _connected(DesignPoly.of(4, [0, 0b0001, 0b0110, 0b1110]))
+
+
+def test_builders_are_the_paper_sums():
+    for family, d, m, design in _small_designs():
+        assert term_set(design) == family_reference(family, d, m), (family, d, m)
 
 
 # every design of the screen_paper and screen_mid benchmark cycles, and
@@ -337,6 +349,11 @@ def test_designs_connected_at_scale(family, d, m):
     assert _connected(design)
     # a randomized replicate is an automorphism image: it stays connected
     assert _connected(randomize(design, np.random.default_rng(d * m))[0])
+
+
+@pytest.mark.parametrize("family, d, m", SCALE_DESIGNS)
+def test_builders_are_the_paper_sums_at_scale(family, d, m):
+    assert term_set(generate(family, d, m)) == family_reference(family, d, m)
 
 
 def test_caches_are_bounded():

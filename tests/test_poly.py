@@ -7,7 +7,7 @@ import pytest
 from eqdesign import poly
 from eqdesign.poly import (DesignPoly, DimensionMismatch, common_multiplicity,
                            design_from_dict, dumps_design, format_words, loads_design,
-                           mono_from_vars, mono_name, mono_parse, mono_str, to_dot)
+                           mono_from_vars, mono_parse, mono_str, to_dot)
 
 from conftest import term_set
 
@@ -18,8 +18,6 @@ def test_mono_words():
     assert mono_str(X1, 3) == "100"
     assert mono_str(0, 3) == "000"
     assert mono_parse("101") == 0b101
-    assert mono_name(0) == "1"
-    assert mono_name(X1 | X3) == "X1X3"
     with pytest.raises(ValueError):
         mono_parse("10a")
     assert mono_from_vars(1, 3) == X1 | X3
@@ -97,26 +95,6 @@ def test_permute():
     assert rolled.edge_profile()[0] == 2
     with pytest.raises(ValueError):
         p.permute([1, 1])
-
-
-def test_shift():
-    p = DesignPoly.of(1, [0, X1])
-    assert term_set(p.shift(2, 3)) == frozenset([0, X3])
-    assert p.shift(0, 1) == p
-    q = DesignPoly.of(2, [0, X1, X2])
-    assert term_set(q.shift(3, 5)) == frozenset([0, X4, 0b10000])
-    with pytest.raises(ValueError):
-        q.shift(4, 5)
-    with pytest.raises(ValueError, match="non-negative"):
-        q.shift(-1, 5)
-
-
-def test_union_semantics():
-    a = DesignPoly.of(2, [0, X1])
-    b = DesignPoly.of(2, [X2])
-    assert term_set(a.union_disjoint(b)) == frozenset([0, X1, X2])
-    with pytest.raises(ValueError):
-        a.union_disjoint(DesignPoly.of(2, [X1]))
 
 
 def test_invalid_construction():

@@ -15,7 +15,7 @@ from eqdesign.effects import build_incidence, embed, elementary_effects, \
     order_vertices, randomize
 from eqdesign.families import FAMILIES, gen_G, gen_H, gen_M, gen_path, q_min
 from eqdesign.poly import (DesignPoly, dumps_design, format_words,
-                           loads_design, mono_name, mono_str)
+                           loads_design, mono_str)
 from eqdesign.screening import ScreenConfig, config_from_dict
 
 from conftest import (brute_direction_pairs, brute_edge_profile, design_polys,
@@ -143,18 +143,6 @@ def test_effect_sign_invariant_under_randomization(d, seed, direction_seed):
     f = [pt[i - 1] for pt in rep.points]
     effects = elementary_effects(build_incidence(od, i), f, delta)
     assert all(abs(e - 1.0) < 1e-9 for e in effects)
-
-
-@given(design_polys(min_size=1, max_dim=6), st.data())
-def test_shift_preserves_structure(p, data):
-    k = data.draw(st.integers(0, 4))
-    top = max(t.bit_length() for t in term_set(p))
-    new_dim = max(top + k, p.dim if k == 0 else top + k, 1)
-    shifted = p.shift(k, new_dim)
-    assert len(shifted) == len(p)
-    prof = brute_edge_profile(p)
-    got = brute_edge_profile(shifted)
-    assert got[k:k + p.dim] == prof[:min(p.dim, new_dim - k)]
 
 
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
@@ -310,50 +298,13 @@ def test_wide_mirror_matches_set(p, data):
 
 
 @given(wide_design_polys(), st.data())
-def test_wide_union_matches_set(p, data):
+def test_wide_scalar_matches_set(p, data):
     # q is a mirror image of p; reflecting by the XOR of two terms of p makes
-    # them meet, so both the disjoint case and the overlap message are drawn
+    # them meet, so both disjoint and overlapping pairs are drawn
     terms = st.sampled_from(sorted(term_set(p)))
     s = data.draw(wide_words(p.dim) | st.builds(lambda a, b: a ^ b, terms, terms))
     q = DesignPoly.of(p.dim, {t ^ s for t in term_set(p)})
-    overlap = term_set(p) & term_set(q)
-    if overlap:
-        message = (f"designs overlap on {len(overlap)} term(s), "
-                   f"e.g. {mono_name(min(overlap))}")
-        with pytest.raises(ValueError) as excinfo:
-            p.union_disjoint(q)
-        assert str(excinfo.value) == message
-    else:
-        union = p.union_disjoint(q)
-        assert_canonical(union)
-        assert term_set(union) == term_set(p) | term_set(q)
-    assert p.scalar(q) == len(overlap)
-
-
-def test_union_reports_a_design_meeting_its_neighbour():
-    p = DesignPoly.of(62, [0, 1 << 61, (1 << 61) | (1 << 60), (1 << 62) - 1])
-    with pytest.raises(ValueError) as excinfo:
-        p.union_disjoint(p.mirror(1 << 60))
-    assert str(excinfo.value) == "designs overlap on 2 term(s), e.g. X62"
-    with pytest.raises(ValueError) as excinfo:
-        p.union_disjoint(p)
-    assert str(excinfo.value) == "designs overlap on 4 term(s), e.g. 1"
-
-
-@given(wide_design_polys(min_size=1), st.data())
-def test_wide_shift_matches_set(p, data):
-    top = max(t.bit_length() for t in term_set(p))
-    k = data.draw(st.integers(0, 62 - top))
-    new_dim = data.draw(st.integers(max(top + k, 1), 62))
-    shifted = p.shift(k, new_dim)
-    assert_canonical(shifted)
-    assert shifted.dim == new_dim
-    assert term_set(shifted) == {t << k for t in term_set(p)}
-    if top:
-        k = data.draw(st.integers(62 - top + 1, 70))
-        with pytest.raises(ValueError) as excinfo:
-            p.shift(k, 62)
-        assert str(excinfo.value) == f"shift by {k} pushes variable X{top} beyond dimension 62"
+    assert p.scalar(q) == len(term_set(p) & term_set(q))
 
 
 @given(wide_design_polys(min_size=1), st.data())
