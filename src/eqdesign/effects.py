@@ -23,6 +23,25 @@ import numpy as np
 
 from .poly import DesignPoly, bit_levels, format_words
 
+ESTIMATORS = ("pooled", "between")  # the sigma estimators of pooled_stats
+
+EPS = 1e-9  # tolerance of the bounds of base coordinates, [0, 1 - delta], and points
+
+
+def check_delta(delta: float) -> None:
+    if not 0 < delta <= 1:  # also true for NaN
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
+
+
+def check_levels(levels: int) -> None:  # bisect cannot search a longer range
+    if type(levels) is not int or not 2 <= levels <= sys.maxsize:
+        raise ValueError(f"levels must be an int in [2, {sys.maxsize}], got {levels!r}")
+
+
+def check_estimator(estimator: str) -> None:
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown sigma estimator {estimator!r}")
+
 
 def order_vertices(design: DesignPoly) -> DesignPoly:
     """The design, once its graded-lex order `ordered_terms` is computed; row
@@ -38,7 +57,7 @@ def order_vertices(design: DesignPoly) -> DesignPoly:
 class EffectIncidence:
     """Direction-i vertex pairs: pair k joins rows[k] < cols[k], 0-based
     positions in graded-lex order of its lower and upper endpoint (read-only
-    int64 views into the design's grlex_pairs).
+    int64 views into the design's grlex_pairs) in a design of `size` vertices.
 
     `pairs` lists them as 1-based (row, col, sign) tuples, built on request.
     Sign is always +1: the row is the lower endpoint (see grlex_pairs).
@@ -46,6 +65,7 @@ class EffectIncidence:
 
     rows: np.ndarray
     cols: np.ndarray
+    size: int
 
     @cached_property
     def pairs(self) -> tuple:
@@ -55,25 +75,22 @@ class EffectIncidence:
 
 def build_incidence(design: DesignPoly, direction: int) -> EffectIncidence:
     """Direction `direction`'s pairs, sliced from the design's grlex_pairs."""
-    if not 1 <= direction <= design.dim:
-        raise ValueError(f"direction must be in 1..{design.dim}, got {direction}")
+    if type(direction) is not int or not 1 <= direction <= design.dim:
+        raise ValueError(f"direction must be an int in 1..{design.dim}, got {direction!r}")
     rows, cols, starts = design.grlex_pairs
     lo, hi = starts[direction - 1], starts[direction]
-    return EffectIncidence(rows=rows[lo:hi], cols=cols[lo:hi])
+    return EffectIncidence(rows=rows[lo:hi], cols=cols[lo:hi], size=len(design))
 
 
 def elementary_effects(inc: EffectIncidence, f_values: Sequence[float],
                        delta: float) -> np.ndarray:
     """One finite difference per pair, (f(upper endpoint) - f(lower endpoint)) / delta,
     as a float array gathered from f_values (one value per vertex, in vertex order)."""
-    if not delta > 0:  # also true for NaN
-        raise ValueError(f"delta must be positive, got {delta}")
+    check_delta(delta)
     f = np.asarray(f_values, dtype=float)
-    try:
-        return (f[inc.cols] - f[inc.rows]) / delta
-    except IndexError:
-        raise ValueError(f"pair index {int(inc.cols.max()) + 1} exceeds {len(f)} "
-                         "function values") from None
+    if f.shape != (inc.size,):
+        raise ValueError(f"need {inc.size} function values, one a vertex, got shape {f.shape}")
+    return (f[inc.cols] - f[inc.rows]) / delta
 
 
 def randomize(design: DesignPoly, rng: np.random.Generator):
@@ -97,21 +114,17 @@ class ReplicatedDesign:
     points: np.ndarray
 
 
-_EPS = 1e-9
-
-
 def embed(design: DesignPoly, base: Sequence[float], delta: float) -> ReplicatedDesign:
     """Map vertices to points base + delta * bits, in graded-lex order."""
     d = design.dim
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    check_delta(delta)
     if len(base) != d:
         raise ValueError(f"base point has {len(base)} coordinates, expected {d}")
     # coordinate i of a point is one of two levels, min(1, base[i] + delta * bit);
     # base[i] + 0.0 turns a -0.0 coordinate into 0.0
     levels = []
     for i, x in enumerate(base, 1):
-        if not -_EPS <= x <= 1 - delta + _EPS:  # also true for NaN
+        if not -EPS <= x <= 1 - delta + EPS:  # also true for NaN
             raise ValueError(f"base coordinate {x} outside [0, 1-delta]")
         high = min(1.0, x + delta)
         if high == x:
@@ -123,13 +136,11 @@ def embed(design: DesignPoly, base: Sequence[float], delta: float) -> Replicated
 
 def sample_base(d: int, delta: float, levels: int, rng: np.random.Generator) -> tuple:
     """Draw each coordinate uniformly from the p-level grid values not exceeding 1-delta."""
-    if not 2 <= levels <= sys.maxsize:  # bisect cannot search a longer range
-        raise ValueError(f"need 2 to {sys.maxsize} grid levels, got {levels}")
+    check_delta(delta)
+    check_levels(levels)
     # grid value k is k / (levels - 1); the feasible ones are a prefix of the grid
-    n_feasible = bisect.bisect_right(range(levels), 1 - delta + _EPS,
+    n_feasible = bisect.bisect_right(range(levels), 1 - delta + EPS,
                                      key=lambda k: k / (levels - 1))
-    if not n_feasible:
-        raise ValueError(f"no grid value in [0, 1-delta] for delta={delta}, levels={levels}")
     picks = rng.integers(0, n_feasible, size=d)
     return tuple(int(k) / (levels - 1) for k in picks)
 
@@ -144,9 +155,6 @@ class FactorStats:
     # read-only float (d, r, m) array: effects[i, j] are the direction-(i+1)
     # effects of replicate j+1
     effects: np.ndarray = field(compare=False)
-
-
-ESTIMATORS = ("pooled", "between")  # the sigma estimators of pooled_stats
 
 
 def _total(x: np.ndarray) -> np.ndarray:
@@ -177,8 +185,7 @@ def pooled_stats(samples: Sequence[Sequence[Sequence[float]]],
     per-replicate means (requires >= 2 replicates).  Neither reproduces the
     clustered-survey correction cited without formula in the source material.
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"unknown sigma estimator {estimator!r}")
+    check_estimator(estimator)
     try:
         # no copy of a float array; the view, not the caller's array, turns read-only
         effects = np.asarray(samples, dtype=float).view()
@@ -186,6 +193,8 @@ def pooled_stats(samples: Sequence[Sequence[Sequence[float]]],
     except ValueError:  # ragged, or not three levels deep
         raise ValueError("need the same number of effects in every direction "
                          "and replicate") from None
+    if not d:
+        raise ValueError("need effects for at least one direction")
     n = r * m
     if n < 2:
         raise ValueError("need at least 2 effect samples per direction")

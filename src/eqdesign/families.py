@@ -258,12 +258,9 @@ def check_domain(family: str, d: int, m: int) -> None:
 
 
 # generate() refuses designs above this many vertices.  The design itself is
-# an int64 array, 8 bytes a vertex (32 MB at the cap), but at d=62 the CLI's
-# design-file commands peak at about 300 (generate), 200 (verify) and 420
-# (pairs) bytes a vertex (child max RSS above that of an interpreter that has
-# imported eqdesign.cli, on H(62, 8000) and H(62, 30000), 0.30M and 1.07M
-# vertices), so about 1.3, 0.9 and 1.8 GB at the cap; and a screen embeds a
-# design as a float array of 8*d bytes per vertex.
+# an int64 array, 8 bytes a vertex (32 MB at the cap); the README gives the
+# measured peak memory of the CLI's design-file commands per vertex, and a
+# screen embeds a design as a float array of 8*d bytes per vertex.
 MAX_DESIGN_VERTICES = 1 << 22
 
 

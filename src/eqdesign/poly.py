@@ -33,8 +33,8 @@ import numpy as np
 
 MAX_DIM = 62
 
-# complement() materialises all 2^d vertices; refuse dimensions where that
-# would allocate hundreds of millions of ints
+# complement() (and so full()) materialises all 2^d vertices; refuse
+# dimensions where that would allocate hundreds of millions of ints
 MAX_ENUM_DIM = 26
 
 
@@ -179,9 +179,7 @@ class DesignPoly:
 
     @classmethod
     def full(cls, dim: int) -> "DesignPoly":
-        if dim > MAX_ENUM_DIM:
-            raise ValueError(f"refusing to enumerate 2^{dim} vertices")
-        return cls(dim, np.arange(1 << dim, dtype=np.int64))
+        return cls.zero(dim).complement()
 
     def __len__(self) -> int:
         return len(self.sorted_terms)

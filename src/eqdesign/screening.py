@@ -16,8 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .effects import (ESTIMATORS, FactorStats, build_incidence, elementary_effects,
-                      embed, order_vertices, pooled_stats, randomize, sample_base)
+from .effects import (EPS, FactorStats, build_incidence, check_delta, check_estimator,
+                      check_levels, elementary_effects, embed, order_vertices,
+                      pooled_stats, randomize, sample_base)
 from .families import generate, predicted_size
 from .poly import mono_str
 
@@ -71,9 +72,10 @@ class BenchmarkFunction:
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
         pts = np.atleast_2d(x)
-        if pts.shape[-1] != 20:
-            raise ValueError(f"expected 20 coordinates, got {pts.shape[-1]}")
-        if not (-1e-9 <= pts.min() and pts.max() <= 1 + 1e-9):  # also true for NaN
+        if pts.ndim > 2 or pts.shape[-1] != 20:
+            raise ValueError(f"expected a point or points of 20 coordinates, got shape {x.shape}")
+        # min and max propagate NaN; no points means none outside
+        if pts.size and not (-EPS <= pts.min() and pts.max() <= 1 + EPS):
             raise ValueError("input outside [0,1]^20")
         w = w_transform(pts)
         val = self.beta0 + w @ self.beta1
@@ -123,7 +125,7 @@ class ScreenConfig:
     def __post_init__(self) -> None:
         """Refuse a config that cannot run, naming every bad field; nothing is built."""
         problems = []
-        for name in ("d", "m", "r", "levels", "seed", "function_seed"):
+        for name in ("d", "m", "r", "seed", "function_seed"):
             value = getattr(self, name)
             if name == "function_seed" and value is None:
                 continue
@@ -147,10 +149,13 @@ class ScreenConfig:
         elif self.d * self.r * self.m > MAX_SCREEN_CELLS:
             problems.append(f"r={self.r} gives d*r*m = {self.d * self.r * self.m} effects, "
                             f"above the budget of {MAX_SCREEN_CELLS}")
-        if not 0 < self.delta <= 1:
-            problems.append(f"delta must be in (0,1], got {self.delta}")
-        if not 2 <= self.levels <= sys.maxsize:
-            problems.append(f"levels must be in [2, {sys.maxsize}], got {self.levels}")
+        # the rules of the steps that read these fields, in the steps' words
+        for check, value in ((check_delta, self.delta), (check_levels, self.levels),
+                             (check_estimator, self.sigma_estimator)):
+            try:
+                check(value)
+            except ValueError as exc:
+                problems.append(str(exc))
         for name in ("seed", "function_seed"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -159,8 +164,6 @@ class ScreenConfig:
             problems.append(f"tau0 must be in [0,1], got {self.tau0}")
         if not 0 <= self.rho <= sys.float_info.max:  # an int past it fails float()
             problems.append(f"rho must be finite and >= 0, got {self.rho}")
-        if self.sigma_estimator not in ESTIMATORS:
-            problems.append(f"unknown sigma estimator {self.sigma_estimator!r}")
         if problems:
             raise ValueError("invalid screen config: " + "; ".join(problems))
 

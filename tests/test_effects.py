@@ -48,6 +48,12 @@ def test_incidence_path_and_empty_direction():
         build_incidence(od, 5)
 
 
+@pytest.mark.parametrize("direction", [0, 5, True, 1.0, "1", None])
+def test_incidence_refuses_a_direction_that_is_not_an_int_in_range(direction):
+    with pytest.raises(ValueError, match=r"direction must be an int in 1\.\.4, got "):
+        build_incidence(E42, direction)
+
+
 def test_incidence_sign_after_mirror():
     # reflect so that some lower-index vertex has the coordinate set
     design = E42.mirror(X2)
@@ -101,9 +107,17 @@ def test_elementary_effects_validation():
     inc = build_incidence(od, 2)
     with pytest.raises(ValueError):
         elementary_effects(inc, [1.0, 2.0], 0.5)
-    for delta in (0.0, float("nan")):
-        with pytest.raises(ValueError):
+    for delta in (0.0, float("nan"), float("inf"), 1.5):
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\]"):
             elementary_effects(inc, [0.0] * 7, delta)
+
+
+@pytest.mark.parametrize("f_values", [[0.0] * 6, [0.0] * 8, [[0.0, 1.0]] * 7, [[0.0] * 7]])
+def test_elementary_effects_need_one_value_per_vertex(f_values):
+    # E42 has 7 vertices: one too few, one too many, two columns, one row
+    inc = build_incidence(E42, 2)
+    with pytest.raises(ValueError, match=r"need 7 function values, one a vertex, got shape"):
+        elementary_effects(inc, f_values, 0.5)
 
 
 def test_randomize_preserves_equitability():
@@ -192,7 +206,7 @@ def test_sample_base_infeasible():
     with pytest.raises(ValueError):
         sample_base(3, 2.0, 2, np.random.default_rng(0))
     for levels in (1, 2 ** 63):
-        with pytest.raises(ValueError, match="grid levels"):
+        with pytest.raises(ValueError, match=r"levels must be an int in \[2, "):
             sample_base(3, 0.5, levels, np.random.default_rng(0))
 
 
@@ -317,3 +331,10 @@ def test_pooled_stats_need_one_count_of_effects():
         pooled_stats([[[1.0, 2.0], [3.0]]])
     with pytest.raises(ValueError, match="same number of effects"):
         pooled_stats([[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("estimator", ["pooled", "between"])
+def test_pooled_stats_need_a_direction(estimator):
+    # with no direction, classify would have no maximum to compare with
+    with pytest.raises(ValueError, match="need effects for at least one direction"):
+        pooled_stats(np.zeros((0, 3, 4)), estimator=estimator)

@@ -2,8 +2,9 @@
 standard library's ast: an imported name the module never reads fails, and so
 does a package module importing a sibling's underscore (private) name, and a
 package module's UPPER_CASE constant that no package module or script reads.
-The package __init__ imports names to re-export them, so it is exempt from
-the first."""
+The package __init__ imports the submodules so that `import eqdesign` loads
+them, and reads none of them, so it is exempt from the first; it may bind
+nothing else but __version__."""
 import ast
 from pathlib import Path
 
@@ -62,6 +63,34 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def init_bindings(source: str) -> set:
+    """The names a module's top level binds: imports, assignments, defs and classes."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        else:
+            names |= {target.id for target in ast.walk(node)
+                      if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)}
+    return names
+
+
+def test_init_binds_only_the_submodules_and_version():
+    # no re-exported names: callers import them from the submodules
+    assert init_bindings((ROOT / "src/eqdesign/__init__.py").read_text()) == {
+        "effects", "families", "poly", "screening", "__version__"}
+
+
+def test_init_bindings_are_reported():
+    source = ("from . import poly\nfrom .poly import DesignPoly as D\nimport numpy.linalg\n"
+              "__version__ = '1'\nX, Y = 1, 2\ndef f(): pass\nclass C: pass\n"
+              "if True:\n    Z = 3\n")
+    assert init_bindings(source) == {"poly", "D", "numpy", "__version__", "X", "Y", "f",
+                                     "C", "Z"}
 
 
 def test_unused_import_is_reported():

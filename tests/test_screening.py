@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqdesign.effects import FactorStats, order_vertices, randomize
+from eqdesign.effects import (FactorStats, build_incidence, elementary_effects, embed,
+                              order_vertices, pooled_stats, randomize, sample_base)
 from eqdesign.families import generate
 from eqdesign.poly import mono_str
 from eqdesign import families, poly, screening
@@ -88,6 +89,13 @@ def test_test_function_domain_check():
     for bad in (np.full(20, np.nan), np.r_[0.5, np.full(19, np.nan)]):
         with pytest.raises(ValueError, match=r"outside \[0,1\]\^20"):
             f(bad)
+    with pytest.raises(ValueError, match=r"points of 20 coordinates, got shape \(2, 3, 20\)"):
+        f(np.zeros((2, 3, 20)))
+
+
+def test_test_function_of_no_points_is_empty():
+    values = build_test_function(0)(np.zeros((0, 20)))
+    assert values.shape == (0,) and values.dtype == float
 
 
 def test_classify():
@@ -212,12 +220,36 @@ def test_config_validation():
     with pytest.raises(ValueError, match="rho must be finite"):
         ScreenConfig(rho=float("inf"), seed=0)
     for delta in (0.0, 1.5, float("nan")):
-        with pytest.raises(ValueError, match=r"delta must be in \(0,1\]"):
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\]"):
             ScreenConfig(delta=delta, seed=0)
     with pytest.raises(ValueError, match="unknown sigma estimator 'bogus'"):
         ScreenConfig(sigma_estimator="bogus", seed=0)
     cfg = config_from_dict({"seed": 5, "m": 4, "r": 3, "family": "M"})
     assert cfg.d == 20 and cfg.delta == pytest.approx(2 / 3)
+
+
+E42 = poly.DesignPoly.of(4, [0b0000, 0b0001, 0b0010, 0b0011, 0b0111, 0b1011, 0b1111])
+# each step that reads a config field, called with a bad value of that field
+STEPS = {
+    "delta": [lambda v: embed(E42, [0.0] * 4, v),
+              lambda v: elementary_effects(build_incidence(E42, 2), [0.0] * 7, v),
+              lambda v: sample_base(4, v, 4, np.random.default_rng(0))],
+    "levels": [lambda v: sample_base(4, 0.5, v, np.random.default_rng(0))],
+    "sigma_estimator": [lambda v: pooled_stats(np.zeros((4, 3, 2)), estimator=v)],
+}
+BAD_VALUES = [*(("delta", v) for v in (0, -0.25, 1.5, float("inf"), float("nan"))),
+              *(("levels", v) for v in (1, 2 ** 63, 4.0, True)),
+              ("sigma_estimator", "bogus")]
+
+
+@pytest.mark.parametrize("field, value", BAD_VALUES, ids=[f"{f}={v!r}" for f, v in BAD_VALUES])
+def test_config_and_steps_refuse_a_bad_value_in_the_same_words(field, value):
+    with pytest.raises(ValueError) as refused:
+        ScreenConfig(seed=0, **{field: value})
+    for step in STEPS[field]:
+        with pytest.raises(ValueError) as step_refused:
+            step(value)
+        assert str(refused.value) == f"invalid screen config: {step_refused.value}"
 
 
 def test_config_validation_keeps_a_screen_within_its_memory_budget(monkeypatch):
