@@ -17,6 +17,7 @@ import itertools
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +29,9 @@ ESTIMATORS = ("pooled", "between")  # the sigma estimators of pooled_stats
 EPS = 1e-9  # tolerance of the bounds of base coordinates, [0, 1 - delta], and points
 
 
-def check_delta(delta: float) -> None:
-    if not 0 < delta <= 1:  # also true for NaN
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+def check_delta(delta: float) -> None:  # float first skips the slow ABC check; NaN fails the range
+    if not isinstance(delta, (float, Real)) or isinstance(delta, bool) or not 0 < delta <= 1:
+        raise ValueError(f"delta must be in (0, 1], got {delta!r}")
 
 
 def check_levels(levels: int) -> None:  # bisect cannot search a longer range

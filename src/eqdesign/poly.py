@@ -38,10 +38,6 @@ MAX_DIM = 62
 MAX_ENUM_DIM = 26
 
 
-class DimensionMismatch(ValueError):
-    """Operands live in different ambient dimensions."""
-
-
 def check_dim(dim: int) -> None:
     if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
         raise ValueError(f"ambient dimension must be in [1, {MAX_DIM}], got {dim!r}")
@@ -222,18 +218,13 @@ class DesignPoly:
         for i in range(self.dim):
             upper = np.flatnonzero(terms & (1 << i))
             partner = terms[upper] ^ (1 << i)
-            # a partner above every vertex gets len(values): clamped, it misses
-            lower = np.minimum(np.searchsorted(values, partner), len(values) - 1)
+            lower = np.searchsorted(values, partner)
             hit = values[lower] == partner
             rows.append(position[lower[hit]])
             cols.append(upper[hit])
         starts = np.zeros(self.dim + 1, dtype=np.int64)
         np.cumsum([len(run) for run in rows], out=starts[1:])
         return _frozen(np.concatenate(rows)), _frozen(np.concatenate(cols)), starts.tolist()
-
-    def _require_same_dim(self, other: "DesignPoly") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimensions differ: {self.dim} vs {other.dim}")
 
     # -- algebra ----------------------------------------------------------
 
@@ -244,7 +235,8 @@ class DesignPoly:
 
     def scalar(self, other: "DesignPoly") -> int:
         """Scalar product = size of the intersection of the two vertex sets."""
-        self._require_same_dim(other)
+        if self.dim != other.dim:
+            raise ValueError(f"dimensions differ: {self.dim} vs {other.dim}")
         return len(np.intersect1d(self.sorted_terms, other.sorted_terms, assume_unique=True))
 
     # -- graph quantities --------------------------------------------------

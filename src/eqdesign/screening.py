@@ -9,9 +9,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .effects import (EPS, FactorStats, build_incidence, check_delta, check_estimator,
                       check_levels, elementary_effects, embed, order_vertices,
                       pooled_stats, randomize, sample_base)
-from .families import generate, predicted_size
+from .families import check_domain, generate, predicted_size
 from .poly import mono_str
 
 # a screen's memory budget in float64 cells, 256 MB: both one replicate's
@@ -108,6 +108,30 @@ def build_test_function(seed: int) -> BenchmarkFunction:
     return BenchmarkFunction(beta0=beta0, beta1=beta1, beta2=beta2)
 
 
+def _check_int(name: str, value: int, low: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+
+
+def _check_real(name: str, value: float, high: float, span: str) -> None:  # NaN fails the range
+    if not isinstance(value, Real) or isinstance(value, bool) or not 0 <= value <= high:
+        raise ValueError(f"{name} must be {span}, got {value!r}")
+
+
+# each ScreenConfig field's one rule, called with the fields it judges, in report order
+_RULES = (
+    (("family", "d", "m"), check_domain),
+    (("r",), lambda v: _check_int("r", v, 2)),
+    (("delta",), check_delta),
+    (("levels",), check_levels),
+    (("sigma_estimator",), check_estimator),
+    (("seed",), lambda v: _check_int("seed", v, 0)),
+    (("function_seed",), lambda v: v is None or _check_int("function_seed", v, 0)),
+    (("tau0",), lambda v: _check_real("tau0", v, 1, "in [0,1]")),
+    (("rho",), lambda v: _check_real("rho", v, sys.float_info.max, "finite and >= 0")),
+)
+
+
 @dataclass(frozen=True)
 class ScreenConfig:
     d: int = 20
@@ -124,46 +148,21 @@ class ScreenConfig:
 
     def __post_init__(self) -> None:
         """Refuse a config that cannot run, naming every bad field; nothing is built."""
-        problems = []
-        for name in ("d", "m", "r", "seed", "function_seed"):
-            value = getattr(self, name)
-            if name == "function_seed" and value is None:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool):
-                problems.append(f"{name} must be an integer, got {value!r}")
-        for name in ("delta", "tau0", "rho"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                problems.append(f"{name} must be a real number, got {value!r}")
-        if problems:
-            raise ValueError("invalid screen config: " + "; ".join(problems))
-        try:
+        problems, failed = [], set()
+        for fields, rule in _RULES:
+            try:
+                rule(*[getattr(self, name) for name in fields])
+            except ValueError as exc:
+                problems.append(str(exc))
+                failed.update(fields)
+        if failed.isdisjoint(("family", "d", "m")):  # the budgets, once their fields passed
             cells = predicted_size(self.family, self.d, self.m) * self.d
             if cells > MAX_SCREEN_CELLS:
                 problems.append(f"{self.family}({self.d}, {self.m}) has {cells} point "
                                 f"coordinates, above the budget of {MAX_SCREEN_CELLS}")
-        except ValueError as exc:
-            problems.append(str(exc))
-        if self.r < 2:
-            problems.append(f"r must be >= 2, got {self.r}")
-        elif self.d * self.r * self.m > MAX_SCREEN_CELLS:
-            problems.append(f"r={self.r} gives d*r*m = {self.d * self.r * self.m} effects, "
-                            f"above the budget of {MAX_SCREEN_CELLS}")
-        # the rules of the steps that read these fields, in the steps' words
-        for check, value in ((check_delta, self.delta), (check_levels, self.levels),
-                             (check_estimator, self.sigma_estimator)):
-            try:
-                check(value)
-            except ValueError as exc:
-                problems.append(str(exc))
-        for name in ("seed", "function_seed"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                problems.append(f"{name} must be >= 0, got {value}")
-        if not 0 <= self.tau0 <= 1:  # also false for NaN
-            problems.append(f"tau0 must be in [0,1], got {self.tau0}")
-        if not 0 <= self.rho <= sys.float_info.max:  # an int past it fails float()
-            problems.append(f"rho must be finite and >= 0, got {self.rho}")
+            if "r" not in failed and self.d * self.r * self.m > MAX_SCREEN_CELLS:
+                problems.append(f"r={self.r} gives d*r*m = {self.d * self.r * self.m} "
+                                f"effects, above the budget of {MAX_SCREEN_CELLS}")
         if problems:
             raise ValueError("invalid screen config: " + "; ".join(problems))
 
@@ -290,8 +289,7 @@ def config_from_dict(obj: dict) -> ScreenConfig:
         raise ValueError("screen config must be a JSON object")
     if "seed" not in obj:
         raise ValueError("screen config is missing required field 'seed'")
-    known = {f for f in ScreenConfig.__dataclass_fields__}
-    unknown = set(obj) - known
+    unknown = obj.keys() - ScreenConfig.__dataclass_fields__.keys()
     if unknown:
         raise ValueError(f"unknown screen config fields: {sorted(unknown)}")
     return ScreenConfig(**obj)

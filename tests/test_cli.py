@@ -87,7 +87,7 @@ def test_verify_negative(tmp_path, capsys):
         "terms": ["000", "100", "010", "101", "011"],
     }))
     code, stdout, _ = run_cli(capsys, "verify", "--in", str(bad))
-    assert code == cli.EXIT_NEGATIVE
+    assert code == 1  # the exit code the README documents for a design that is not equitable
     assert "(1, 1, 2)" in stdout
 
 
@@ -146,6 +146,13 @@ def test_economy_table(tmp_path, capsys):
         assert size == predicted
         assert len(generate(family, int(d), int(m))) == int(size)
     assert any(r[0] == "M" for r in rows)
+
+
+def test_economy_of_m_max_1_prints_the_m_1_rows(capsys):
+    code, stdout, _ = run_cli(capsys, "economy", "--d", "10", "--m-max", "1")
+    assert code == 0
+    assert stdout == ("family,d,m,size,predicted_size,economy\n"
+                      "G,10,1,11,11,10/11\nM,10,1,11,11,10/11\n")
 
 
 @pytest.mark.parametrize("argv", [("--d", "0"), ("--d", "63"),

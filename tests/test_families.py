@@ -200,6 +200,7 @@ def test_economy_limits():
     for m in (2, 3, 7, 12, 100):
         limit_g, (limit_h, h_bounds), m_bounds = economy_limits(m)
         assert limit_g == 1
+        assert h_bounds == (Fraction(4, 3), Fraction(3, 2))
         assert h_bounds[0] <= limit_h <= h_bounds[1]
         assert m_bounds == (Fraction(m * m, 2 * m - 1), Fraction(m * m, m - 1))
     assert economy_limits(2)[1][0] == Fraction(4, 3)

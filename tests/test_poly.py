@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from eqdesign import poly
-from eqdesign.poly import (DesignPoly, DimensionMismatch, common_multiplicity,
-                           design_from_dict, dumps_design, format_words, loads_design,
-                           mono_from_vars, mono_parse, mono_str, to_dot)
+from eqdesign.poly import (DesignPoly, common_multiplicity, design_from_dict, dumps_design,
+                           format_words, loads_design, mono_from_vars, mono_parse, mono_str,
+                           to_dot)
 
 from conftest import term_set
 
@@ -45,8 +45,14 @@ def test_scalar_product():
     q = DesignPoly.of(2, [X1, X1 | X2])
     assert DesignPoly.of(2, [0, X1]).scalar(q) == 1
     assert p.scalar(DesignPoly.zero(2)) == 0
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match=r"^dimensions differ: 2 vs 3$"):
         p.scalar(DesignPoly.zero(3))
+
+
+def test_designs_differing_in_terms_or_dimension_are_unequal():
+    assert DesignPoly.of(3, [0, X1]) != DesignPoly.of(3, [0, X2])
+    assert DesignPoly.of(2, [0, X1]) != DesignPoly.of(3, [0, X1])
+    assert DesignPoly.of(3, [0, X1]) == DesignPoly.of(3, [X1, 0])
 
 
 def test_edge_profile_examples():

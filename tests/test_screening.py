@@ -105,6 +105,10 @@ def test_classify():
     allzero = FactorStats(mu=(0.0,) * 3, mu_star=(0.0,) * 3, sigma=(0.0,) * 3,
                           effects=((), (), ()))
     assert classify(allzero, tau0=0.1, rho=0.5) == ("C0", "C0", "C0")
+    # sigma == rho * mu* exactly is C2, below it C1
+    tie = FactorStats(mu=(10.0, 10.0), mu_star=(10.0, 10.0), sigma=(5.0, 4.0),
+                      effects=((), ()))
+    assert classify(tie, tau0=0.1, rho=0.5) == ("C2", "C1")
 
 
 def test_run_screen_counts():
@@ -219,6 +223,8 @@ def test_config_validation():
         ScreenConfig(tau0=float("nan"), seed=0)
     with pytest.raises(ValueError, match="rho must be finite"):
         ScreenConfig(rho=float("inf"), seed=0)
+    ScreenConfig(tau0=0, rho=0, seed=0)
+    ScreenConfig(tau0=1, seed=0)
     for delta in (0.0, 1.5, float("nan")):
         with pytest.raises(ValueError, match=r"delta must be in \(0, 1\]"):
             ScreenConfig(delta=delta, seed=0)
@@ -237,7 +243,8 @@ STEPS = {
     "levels": [lambda v: sample_base(4, 0.5, v, np.random.default_rng(0))],
     "sigma_estimator": [lambda v: pooled_stats(np.zeros((4, 3, 2)), estimator=v)],
 }
-BAD_VALUES = [*(("delta", v) for v in (0, -0.25, 1.5, float("inf"), float("nan"))),
+BAD_VALUES = [*(("delta", v) for v in (0, -0.25, 1.5, float("inf"), float("nan"), "x", None,
+                                       True)),
               *(("levels", v) for v in (1, 2 ** 63, 4.0, True)),
               ("sigma_estimator", "bogus")]
 
@@ -265,6 +272,12 @@ def test_config_validation_keeps_a_screen_within_its_memory_budget(monkeypatch):
     ScreenConfig(d=62, m=10000, family="G", seed=0)
     with pytest.raises(ValueError, match="above the budget"):
         ScreenConfig(d=62, m=11000, family="G", seed=0)
+    # G(32, 61440) has exactly 2^20 vertices, so |S|*d is the budget itself
+    assert predicted_size("G", 32, 61440) * 32 == MAX_SCREEN_CELLS
+    ScreenConfig(d=32, m=61440, family="G", seed=0)
+    with pytest.raises(ValueError, match=r"^invalid screen config: G\(32, 61441\) has "
+                                         r"33554944 point coordinates, above the budget"):
+        ScreenConfig(d=32, m=61441, family="G", seed=0)
     with pytest.raises(ValueError, match="above the budget"):
         run_screen(ScreenConfig(d=62, m=65536, family="G", seed=0),
                    func=lambda points: points.sum(axis=1))
@@ -281,11 +294,28 @@ def test_config_budget_bounds_the_effects_array():
 
 
 def test_config_refuses_negative_seeds():
-    with pytest.raises(ValueError, match=r"^invalid screen config: seed must be >= 0, got -5$"):
+    with pytest.raises(ValueError,
+                       match=r"^invalid screen config: seed must be an int >= 0, got -5$"):
         ScreenConfig(seed=-5)
-    with pytest.raises(ValueError, match=r"^invalid screen config: function_seed must be >= 0"):
+    with pytest.raises(ValueError, match=r"^invalid screen config: function_seed must be an int"):
         ScreenConfig(seed=0, function_seed=-1)
+    with pytest.raises(ValueError, match=r"^invalid screen config: seed must be an int >= 0, "
+                                         r"got None$"):
+        ScreenConfig(seed=None)
     ScreenConfig(seed=0, function_seed=0)
+
+
+def test_config_names_every_bad_field():
+    with pytest.raises(ValueError) as refused:
+        ScreenConfig(seed=0, d="x", r=1, levels=4.0, tau0=2)
+    assert str(refused.value) == (
+        "invalid screen config: ambient dimension must be in [1, 62], got 'x'; "
+        "r must be an int >= 2, got 1; "
+        f"levels must be an int in [2, {sys.maxsize}], got 4.0; "
+        "tau0 must be in [0,1], got 2")
+    # a design over the budget and a bad r are both named
+    with pytest.raises(ValueError, match=r"r must be an int >= 2, got 1; G\(62, 65536\) has"):
+        ScreenConfig(d=62, m=65536, family="G", r=1, seed=0)
 
 
 def test_screen_experiment_script_runs():
