@@ -185,6 +185,9 @@ def pooled_stats(samples: Sequence[Sequence[Sequence[float]]],
     estimator="between": one-way decomposition, standard deviation of the
     per-replicate means (requires >= 2 replicates).  Neither reproduces the
     clustered-survey correction cited without formula in the source material.
+    A statistic that is not finite (from a NaN or infinite effect, or a sum
+    or square that overflows) raises ValueError naming the first factor
+    that has one.
     """
     check_estimator(estimator)
     try:
@@ -199,19 +202,27 @@ def pooled_stats(samples: Sequence[Sequence[Sequence[float]]],
     n = r * m
     if n < 2:
         raise ValueError("need at least 2 effect samples per direction")
+    if estimator == "between" and r < 2:
+        raise ValueError("between-replicate estimator needs >= 2 replicates")
     flat = effects.reshape(d, n)
-    mean = _total(flat) / n
-    mu_star = _total(np.abs(flat)) / n
-    if estimator == "pooled":
-        var = _total(_square(flat - mean[:, None])) / (n - 1)
-    else:
-        if r < 2:
-            raise ValueError("between-replicate estimator needs >= 2 replicates")
-        means = _total(effects) / m
-        var = _total(_square(means - (_total(means) / r)[:, None])) / (r - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        mean = _total(flat) / n
+        mu_star = _total(np.abs(flat)) / n
+        if estimator == "pooled":
+            var = _total(_square(flat - mean[:, None])) / (n - 1)
+        else:
+            means = _total(effects) / m
+            var = _total(_square(means - (_total(means) / r)[:, None])) / (r - 1)
+        sigma = np.sqrt(var)
+    finite = np.isfinite((mean, mu_star, sigma)).all(axis=0)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"the statistics of factor {i + 1} are not finite: "
+                         f"mu={float(mean[i])}, mu_star={float(mu_star[i])}, "
+                         f"sigma={float(sigma[i])}")
     effects.flags.writeable = False
     return FactorStats(mu=tuple(mean.tolist()), mu_star=tuple(mu_star.tolist()),
-                       sigma=tuple(np.sqrt(var).tolist()), effects=effects)
+                       sigma=tuple(sigma.tolist()), effects=effects)
 
 
 def pairs_csv(design: DesignPoly) -> list:

@@ -203,20 +203,18 @@ class ScreenReport:
     design_size: int
     replicates: tuple  # of ReplicateMeta
 
+    def _csv(self, names: tuple) -> str:
+        """factor,<names>, then one line a factor: its number and its value in each
+        named column, a FactorStats field or "class" (str of a float is its repr)."""
+        columns = [getattr(self.stats, n) if n != "class" else self.classes for n in names]
+        lines = [",".join(map(str, row)) for row in zip(range(1, len(self.classes) + 1), *columns)]
+        return "\n".join([",".join(("factor",) + names)] + lines) + "\n"
+
     def to_csv(self) -> str:
-        lines = ["factor,mu,mu_star,sigma,class"]
-        for i in range(len(self.classes)):
-            lines.append(
-                f"{i + 1},{self.stats.mu[i]!r},{self.stats.mu_star[i]!r},"
-                f"{self.stats.sigma[i]!r},{self.classes[i]}"
-            )
-        return "\n".join(lines) + "\n"
+        return self._csv(("mu", "mu_star", "sigma", "class"))
 
     def scatter_csv(self) -> str:
-        lines = ["factor,mu_star,sigma"]
-        for i in range(len(self.classes)):
-            lines.append(f"{i + 1},{self.stats.mu_star[i]!r},{self.stats.sigma[i]!r}")
-        return "\n".join(lines) + "\n"
+        return self._csv(("mu_star", "sigma"))
 
     def metadata_json(self) -> str:
         obj = {
@@ -229,8 +227,13 @@ class ScreenReport:
         return json.dumps(obj, indent=2) + "\n"
 
 
-def _check_values(f_values: np.ndarray, design, where: str) -> None:
-    """Fail unless func gave one finite value per vertex of the replicate."""
+def _check_values(values, design, where: str) -> np.ndarray:
+    """func's values as a float array; fail unless it gave one finite real
+    value per vertex of the replicate."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):  # a float conversion would drop the imaginary part
+        raise ValueError(f"{where}: func returned complex values, dtype {values.dtype}")
+    f_values = values.astype(float, copy=False)
     if f_values.shape != (len(design),):
         raise ValueError(f"{where}: func returned shape {f_values.shape} "
                          f"for {len(design)} points, expected ({len(design)},)")
@@ -239,16 +242,19 @@ def _check_values(f_values: np.ndarray, design, where: str) -> None:
         k = int(np.argmin(np.isfinite(f_values)))
         raise ValueError(f"{where}: func returned {float(f_values[k])} at vertex "
                          f"{mono_str(int(design.ordered_terms[k]), design.dim)}")
+    return f_values
 
 
 def run_screen(config: ScreenConfig,
                func: Optional[Callable] = None) -> ScreenReport:
     """Generate the design, run r randomized replicates, pool statistics, classify.
 
-    func maps an (|S|, d) float array of points to |S| finite values; a
-    wrong shape or a NaN or infinite value raises ValueError naming the
-    replicate and the vertex.  When func is omitted, the 20-factor benchmark
-    built from the config's function seed is used (requires d=20).
+    func maps an (|S|, d) float array of points to |S| finite real values;
+    a wrong shape or a NaN or infinite value raises ValueError naming the
+    replicate and the vertex, complex values one naming the replicate, and
+    effects whose statistics overflow one naming the factor.  When func is
+    omitted, the 20-factor benchmark built from the config's function seed
+    is used (requires d=20).
     """
     if func is None:
         fseed = config.seed if config.function_seed is None else config.function_seed
@@ -267,12 +273,14 @@ def run_screen(config: ScreenConfig,
         order_vertices(transformed)
         base = sample_base(d, config.delta, config.levels, rng)
         rep = embed(transformed, base, config.delta)
-        f_values = np.asarray(func(rep.points), dtype=float)
-        _check_values(f_values, transformed, f"replicate {j} of {config.r}")
+        f_values = _check_values(func(rep.points), transformed,
+                                 f"replicate {j} of {config.r}")
         n_evals += len(rep.points)
-        for i in range(1, d + 1):
-            inc = build_incidence(transformed, i)
-            effects[i - 1, j - 1] = elementary_effects(inc, f_values, config.delta)
+        # an effect that overflows is refused by pooled_stats
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, d + 1):
+                inc = build_incidence(transformed, i)
+                effects[i - 1, j - 1] = elementary_effects(inc, f_values, config.delta)
         replicates.append(ReplicateMeta(
             reflection=mono_str(s, d), permutation=perm,
             base_point=base, delta=config.delta,

@@ -338,3 +338,19 @@ def test_pooled_stats_need_a_direction(estimator):
     # with no direction, classify would have no maximum to compare with
     with pytest.raises(ValueError, match="need effects for at least one direction"):
         pooled_stats(np.zeros((0, 3, 4)), estimator=estimator)
+
+
+@pytest.mark.parametrize("estimator", ["pooled", "between"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_pooled_stats_refuse_statistics_that_are_not_finite(estimator, bad):
+    samples = np.zeros((3, 2, 2))
+    samples[1, 1, 0] = bad
+    with pytest.raises(ValueError, match=r"^the statistics of factor 2 are not finite: "):
+        pooled_stats(samples, estimator=estimator)
+
+
+def test_pooled_stats_refuse_a_sum_that_overflows():
+    # finite effects, but |1e308| + |-1e308| overflows mu*
+    with pytest.raises(ValueError, match=r"^the statistics of factor 1 are not finite: "
+                                         r"mu=0\.0, mu_star=inf, sigma=inf$"):
+        pooled_stats([[[1e308, -1e308]]])

@@ -90,6 +90,13 @@ def test_complement():
     assert square.complement().edge_profile() == (0, 0)
 
 
+def test_complement_enumerates_up_to_max_enum_dim(monkeypatch):
+    monkeypatch.setattr(poly, "MAX_ENUM_DIM", 3)
+    assert len(DesignPoly.zero(3).complement()) == 8
+    with pytest.raises(ValueError, match=r"^refusing to enumerate 2\^4 vertices$"):
+        DesignPoly.zero(4).complement()
+
+
 def test_permute():
     p = DesignPoly.of(2, [0, X1])
     assert term_set(p.permute([2, 1])) == frozenset([0, X2])

@@ -208,6 +208,24 @@ def test_run_screen_rejects_wrongly_shaped_values(shape):
         run_screen(cfg, lambda pts: np.zeros(shape(len(pts))))
 
 
+def test_run_screen_refuses_statistics_that_overflow():
+    # factor 1's effects are 2e308 / delta, beyond the largest float
+    with pytest.raises(ValueError, match=r"^the statistics of factor 1 are not finite: "
+                                         r"mu=inf, mu_star=inf, sigma=nan$"):
+        run_screen(ScreenConfig(seed=0), lambda x: np.where(x[:, 0] > 0.5, 1e308, -1e308))
+    # finite effects whose squares overflow
+    with pytest.raises(ValueError, match=r"^the statistics of factor 1 are not finite: "
+                                         r"mu=1\.0\d*e\+300, .*, sigma=inf$"):
+        run_screen(ScreenConfig(seed=0), lambda x: 1e300 * (1 + x[:, 0]))
+
+
+def test_run_screen_refuses_complex_values():
+    cfg = ScreenConfig(d=6, m=2, r=3, family="H", seed=8)
+    with pytest.raises(ValueError, match=r"^replicate 1 of 3: func returned complex values, "
+                                         r"dtype complex128$"):
+        run_screen(cfg, lambda x: x[:, 0] + 1j * x[:, 1])
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="seed"):
         config_from_dict({})
@@ -343,6 +361,10 @@ def test_report_serialization():
     assert len(lines) == 21
     scatter = rep.scatter_csv().strip().splitlines()
     assert scatter[0] == "factor,mu_star,sigma"
+    assert len(scatter) == 21
+    for line, point in zip(lines[1:], scatter[1:]):  # factor, mu_star and sigma
+        factor, _, mu_star, sigma, _ = line.split(",")
+        assert point == f"{factor},{mu_star},{sigma}"
     meta = json.loads(rep.metadata_json())
     assert meta["n_evals"] == 147
     assert len(meta["replicates"]) == 3
