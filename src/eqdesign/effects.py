@@ -16,8 +16,6 @@ import bisect
 import itertools
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
-from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -29,8 +27,14 @@ ESTIMATORS = ("pooled", "between")  # the sigma estimators of pooled_stats
 EPS = 1e-9  # tolerance of the bounds of base coordinates, [0, 1 - delta], and points
 
 
-def check_delta(delta: float) -> None:  # float first skips the slow ABC check; NaN fails the range
-    if not isinstance(delta, (float, Real)) or isinstance(delta, bool) or not 0 < delta <= 1:
+def is_real(value) -> bool:
+    """Whether value is an int or a float (numpy's float64 is one), not a bool:
+    the reals a screen takes, each of which its metadata writes as JSON."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_delta(delta: float) -> None:  # a float skips the call; NaN fails the range
+    if not (type(delta) is float or is_real(delta)) or not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta!r}")
 
 
@@ -54,21 +58,24 @@ def order_vertices(design: DesignPoly) -> DesignPoly:
     return design
 
 
-@dataclass(frozen=True, eq=False)
 class EffectIncidence:
     """Direction-i vertex pairs: pair k joins rows[k] < cols[k], 0-based
     positions in graded-lex order of its lower and upper endpoint (read-only
     int64 views into the design's grlex_pairs) in a design of `size` vertices.
 
-    `pairs` lists them as 1-based (row, col, sign) tuples, built on request.
-    Sign is always +1: the row is the lower endpoint (see grlex_pairs).
+    A plain record with three slots, built once per direction per
+    replicate: no dataclass, whose frozen fields each cost a call to set.
+    `pairs` lists the pairs as 1-based (row, col, sign) tuples, built on
+    each request.  Sign is always +1: the row is the lower endpoint (see
+    grlex_pairs).
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
-    size: int
+    __slots__ = ("rows", "cols", "size")
 
-    @cached_property
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, size: int):
+        self.rows, self.cols, self.size = rows, cols, size
+
+    @property
     def pairs(self) -> tuple:
         return tuple(zip((self.rows + 1).tolist(), (self.cols + 1).tolist(),
                          itertools.repeat(1)))
@@ -80,7 +87,7 @@ def build_incidence(design: DesignPoly, direction: int) -> EffectIncidence:
         raise ValueError(f"direction must be an int in 1..{design.dim}, got {direction!r}")
     rows, cols, starts = design.grlex_pairs
     lo, hi = starts[direction - 1], starts[direction]
-    return EffectIncidence(rows=rows[lo:hi], cols=cols[lo:hi], size=len(design))
+    return EffectIncidence(rows[lo:hi], cols[lo:hi], len(design))
 
 
 def elementary_effects(inc: EffectIncidence, f_values: Sequence[float],
@@ -101,7 +108,7 @@ def randomize(design: DesignPoly, rng: np.random.Generator):
     """
     d = design.dim
     s = int(rng.integers(0, 1 << d))
-    perm = tuple(int(p) + 1 for p in rng.permutation(d))
+    perm = tuple((rng.permutation(d) + 1).tolist())
     return design.image(s, perm), s, perm
 
 
@@ -143,7 +150,7 @@ def sample_base(d: int, delta: float, levels: int, rng: np.random.Generator) -> 
     n_feasible = bisect.bisect_right(range(levels), 1 - delta + EPS,
                                      key=lambda k: k / (levels - 1))
     picks = rng.integers(0, n_feasible, size=d)
-    return tuple(int(k) / (levels - 1) for k in picks)
+    return tuple(k / (levels - 1) for k in picks.tolist())
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -42,9 +43,15 @@ def check_dim(dim: int) -> None:
         raise ValueError(f"ambient dimension must be in [1, {MAX_DIM}], got {dim!r}")
 
 
-def check_monomial(mono: int, dim: int) -> None:
+def check_monomial(mono: int, dim: int) -> int:
+    """mono as an int, if it is a monomial of Q_dim: an int of any integer
+    type (a Python or numpy int, not a bool) with no bit at or above dim."""
+    if isinstance(mono, bool) or not isinstance(mono, (int, np.integer)):
+        raise ValueError(f"a monomial must be an int, got {mono!r}")
+    mono = int(mono)
     if mono < 0 or mono >> dim:
         raise ValueError(f"monomial {mono:#x} uses variables beyond dimension {dim}")
+    return mono
 
 
 def mono_from_vars(*indices: int) -> int:
@@ -59,8 +66,7 @@ def mono_from_vars(*indices: int) -> int:
 
 def mono_str(mono: int, dim: int) -> str:
     """Binary-word form, leftmost character = exponent of X_1."""
-    check_monomial(mono, dim)
-    return format(mono, f"0{dim}b")[::-1]
+    return format(check_monomial(mono, dim), f"0{dim}b")[::-1]
 
 
 def mono_parse(word: str) -> int:
@@ -162,9 +168,7 @@ class DesignPoly:
     def of(cls, dim: int, terms: Iterable[int]) -> "DesignPoly":
         """The design on the distinct monomials among `terms`, in any order."""
         check_dim(dim)
-        terms = list(terms)
-        for t in terms:
-            check_monomial(t, dim)
+        terms = [check_monomial(t, dim) for t in terms]
         # not np.unique: numpy 2.4's imports numpy.ma, about 9 ms and 1 MB, on first use
         return cls(dim, np.array(sorted(set(terms)), dtype=np.int64))
 
@@ -229,7 +233,7 @@ class DesignPoly:
 
     def mirror(self, s: int) -> "DesignPoly":
         """Multiply by monomial s: reflect along every direction present in s."""
-        check_monomial(s, self.dim)
+        s = check_monomial(s, self.dim)
         return DesignPoly(self.dim, np.sort(self.sorted_terms ^ s, kind="stable"))
 
     def scalar(self, other: "DesignPoly") -> int:
@@ -282,28 +286,35 @@ class DesignPoly:
         values = self._relabel(self.sorted_terms, perm)
         return DesignPoly(self.dim, np.sort(values, kind="stable"))
 
+    @cached_property
+    def _edge_directions(self) -> np.ndarray:
+        """The 0-based direction of each edge of grlex_pairs, as int64."""
+        return _frozen(np.repeat(np.arange(self.dim), np.diff(self.grlex_pairs[2])))
+
     def image(self, s: int, perm: Sequence[int]) -> "DesignPoly":
         """self.mirror(s).permute(perm) in one pass, carrying this design's edges:
         both maps are automorphisms of Q_dim, so an edge stays an edge,
         direction i becomes perm[i]-1, and every position follows the image's
         graded-lex order, in which the lower endpoint comes first."""
-        check_monomial(s, self.dim)
+        s = check_monomial(s, self.dim)
         values = self._relabel(self.ordered_terms ^ s, perm)
         order = np.argsort(values)  # distinct keys: every sort kind agrees
         image = DesignPoly(self.dim, values[order])
         position = np.empty_like(order)  # of each of our ordered_terms in the image's
         position[order[image.grlex_index]] = np.arange(len(order))
         rows, cols, starts = self.grlex_pairs
-        direction = np.repeat(np.asarray(perm) - 1, np.diff(starts))
+        direction = np.take(perm, self._edge_directions)  # the image's, 1-based
         rows, cols = position[rows], position[cols]
         rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
         # by direction, then row: one sort of a combined key (rows < len(image)),
         # distinct since a vertex has at most one upper neighbour per direction
         by_direction = np.argsort(direction * len(image) + rows)
-        starts = np.zeros(self.dim + 1, dtype=np.int64)  # the image's
-        np.cumsum(np.bincount(direction, minlength=self.dim), out=starts[1:])
+        counts = [0] * self.dim  # the image's edges per direction
+        for target, lo, hi in zip(perm, starts, starts[1:]):
+            counts[target - 1] = hi - lo
         image.__dict__["grlex_pairs"] = (_frozen(rows[by_direction]),
-                                         _frozen(cols[by_direction]), starts.tolist())
+                                         _frozen(cols[by_direction]),
+                                         list(accumulate(counts, initial=0)))
         return image
 
     def economy(self, m: Optional[int] = None) -> Fraction:

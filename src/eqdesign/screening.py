@@ -7,17 +7,16 @@ determines both the benchmark coefficients and the replication draws.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass
-from numbers import Real
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 import numpy as np
 
 from .effects import (EPS, FactorStats, build_incidence, check_delta, check_estimator,
-                      check_levels, elementary_effects, embed, order_vertices,
+                      check_levels, elementary_effects, embed, is_real, order_vertices,
                       pooled_stats, randomize, sample_base)
 from .families import check_domain, generate, predicted_size
 from .poly import mono_str
@@ -114,7 +113,7 @@ def _check_int(name: str, value: int, low: int) -> None:
 
 
 def _check_real(name: str, value: float, high: float, span: str) -> None:  # NaN fails the range
-    if not isinstance(value, Real) or isinstance(value, bool) or not 0 <= value <= high:
+    if not is_real(value) or not 0 <= value <= high:
         raise ValueError(f"{name} must be {span}, got {value!r}")
 
 
@@ -194,6 +193,55 @@ class ReplicateMeta:
     delta: float
 
 
+def _json_scalar(value) -> str:
+    """A str, None, bool, int or float as json.dumps writes it.  isinstance,
+    not type, picks the rule, so numpy's float64 writes as a float.  Every
+    float of a report is finite (the config's rules and sample_base's grid),
+    so none needs json's NaN or Infinity."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# the writer of each type whose lists _json_text writes with one map
+_JSON_WRITERS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
+
+
+def _json_text(value, indent: str) -> str:
+    """json.dumps(value, indent=2) for a value at nesting `indent` (two spaces
+    a level): a dict with str keys, a list or tuple, or a scalar.  json's
+    indented output runs its pure-Python encoder; this one writes a list
+    whose items share one type (a base point, a permutation) with one map."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        brackets = "[]"
+        types = set(map(type, value))
+        write = _JSON_WRITERS.get(types.pop()) if len(types) == 1 else None
+        items = map(write, value) if write else [_json_text(item, inner) for item in value]
+    else:
+        return _json_scalar(value)
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
+            + "\n" + indent + brackets[1])
+
+
 @dataclass(frozen=True)
 class ScreenReport:
     config: ScreenConfig
@@ -217,6 +265,8 @@ class ScreenReport:
         return self._csv(("mu_star", "sigma"))
 
     def metadata_json(self) -> str:
+        """json.dumps(obj, indent=2) plus a newline, byte for byte, for the
+        object below, written by _json_text rather than by json's encoder."""
         obj = {
             "config": vars(self.config),
             "n_evals": self.n_evals,
@@ -224,7 +274,7 @@ class ScreenReport:
             "replicates": [vars(r) for r in self.replicates],
             "classes": list(self.classes),
         }
-        return json.dumps(obj, indent=2) + "\n"
+        return _json_text(obj, "") + "\n"
 
 
 def _check_values(values, design, where: str) -> np.ndarray:

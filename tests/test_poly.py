@@ -1,10 +1,12 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from eqdesign import poly
+from eqdesign.families import generate
 from eqdesign.poly import (DesignPoly, common_multiplicity, design_from_dict, dumps_design,
                            format_words, loads_design, mono_from_vars, mono_parse, mono_str,
                            to_dot)
@@ -108,6 +110,29 @@ def test_permute():
     assert rolled.edge_profile()[0] == 2
     with pytest.raises(ValueError):
         p.permute([1, 1])
+
+
+@pytest.mark.parametrize("s", [np.uint64(5), np.int64(5), np.uint8(5)], ids=repr)
+def test_a_monomial_of_any_integer_type_is_an_int(s):
+    assert poly.check_monomial(s, 6) == 5 and type(poly.check_monomial(s, 6)) is int
+    assert mono_str(s, 6) == "101000"
+    base = generate("M", 6, 2)
+    assert base.mirror(s) == base.mirror(5)
+    perm = (2, 3, 1, 6, 4, 5)
+    image = base.image(s, perm)
+    assert image == base.image(5, perm)
+    assert image.grlex_pairs[2] == base.image(5, perm).grlex_pairs[2]
+
+
+@pytest.mark.parametrize("s", [5.0, True, False, "5", None, np.float64(5.0), np.bool_(True)],
+                         ids=repr)
+def test_a_monomial_that_is_not_an_int_is_refused(s):
+    base = generate("M", 6, 2)
+    message = f"^a monomial must be an int, got {re.escape(repr(s))}$"
+    for use in (lambda: poly.check_monomial(s, 6), lambda: base.mirror(s),
+                lambda: base.image(s, (1, 2, 3, 4, 5, 6)), lambda: mono_str(s, 6)):
+        with pytest.raises(ValueError, match=message):
+            use()
 
 
 def test_invalid_construction():

@@ -359,7 +359,7 @@ def test_of_rejects_terms_outside_q62(terms):
 
 @pytest.mark.parametrize("terms", [[1.5], [0, 2.0], [3, "a"]])
 def test_of_rejects_terms_that_are_not_ints(terms):
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="a monomial must be an int"):
         DesignPoly.of(4, terms)
 
 

@@ -2,8 +2,10 @@ import functools
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from eqdesign.screening import (MAX_SCREEN_CELLS, REFERENCE_CLASSES, ScreenConfi
                                 config_from_dict, run_screen, w_transform)
 
 from conftest import benchmark_coefficients_reference
+from test_digests import screen_cases
 
 
 def test_w_transform():
@@ -262,7 +265,7 @@ STEPS = {
     "sigma_estimator": [lambda v: pooled_stats(np.zeros((4, 3, 2)), estimator=v)],
 }
 BAD_VALUES = [*(("delta", v) for v in (0, -0.25, 1.5, float("inf"), float("nan"), "x", None,
-                                       True)),
+                                       True, Fraction(1, 2), np.float32(0.5))),
               *(("levels", v) for v in (1, 2 ** 63, 4.0, True)),
               ("sigma_estimator", "bogus")]
 
@@ -275,6 +278,64 @@ def test_config_and_steps_refuse_a_bad_value_in_the_same_words(field, value):
         with pytest.raises(ValueError) as step_refused:
             step(value)
         assert str(refused.value) == f"invalid screen config: {step_refused.value}"
+
+
+@pytest.mark.parametrize("field", ["tau0", "rho"])
+@pytest.mark.parametrize("value", [Fraction(1, 2), np.float32(0.5)], ids=repr)
+def test_config_refuses_thresholds_that_are_neither_int_nor_float(field, value):
+    # such a value would pass a range check, run the whole screen, and then
+    # fail to write as JSON
+    with pytest.raises(ValueError, match=f"{field} must be .*, got {re.escape(repr(value))}$"):
+        ScreenConfig(seed=0, **{field: value})
+
+
+def test_config_and_steps_take_numpy_float64():
+    half = np.float64(0.5)
+    cfg = ScreenConfig(seed=0, delta=half, tau0=np.float64(0.1), rho=half)
+    for step in STEPS["delta"]:
+        step(half)
+    meta = json.loads(run_screen(cfg).metadata_json())
+    assert meta["config"]["delta"] == meta["replicates"][0]["delta"] == 0.5
+    assert meta["config"]["tau0"] == 0.1
+
+
+def metadata_reference(report) -> str:
+    """The metadata file as json.dumps writes it, the object built here."""
+    obj = {"config": vars(report.config), "n_evals": report.n_evals,
+           "design_size": report.design_size,
+           "replicates": [vars(r) for r in report.replicates],
+           "classes": list(report.classes)}
+    return json.dumps(obj, indent=2) + "\n"
+
+
+# the digests' screens, then configs whose fields json writes in other ways:
+# a float64 delta, int thresholds, the largest rho, both kinds of function seed
+METADATA_CASES = [*screen_cases(),
+                  ("delta-float64", ScreenConfig(seed=3, delta=np.float64(0.5)), None),
+                  ("int-thresholds", ScreenConfig(seed=4, tau0=0, rho=1), None),
+                  ("rho-max", ScreenConfig(seed=5, rho=sys.float_info.max), None),
+                  ("function-seed", ScreenConfig(seed=6, function_seed=9), None)]
+
+
+@pytest.mark.parametrize("name, cfg, func", METADATA_CASES, ids=[c[0] for c in METADATA_CASES])
+def test_metadata_json_is_what_json_dumps_writes(name, cfg, func):
+    report = run_screen(cfg, func)
+    assert report.metadata_json() == metadata_reference(report)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": []}, [{}], "", "é\u2028\"\\\n", None, True, False, 0, -7, 2 ** 70,
+    0.0, -0.0, 1e-310, 1e300, np.float64(0.1), [np.float64(2 / 3), 0.5], [1, 2.5, "x"],
+    [True, False], [1, True], (3, 4), {"k": {"n": [None, {"m": (1.5,)}]}, "é": "ü"},
+])
+def test_json_text_writes_what_json_dumps_writes(value):
+    assert screening._json_text(value, "") == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), np.float32(0.5), [1, Fraction(1, 2)]])
+def test_json_text_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        screening._json_text(value, "")
 
 
 def test_config_validation_keeps_a_screen_within_its_memory_budget(monkeypatch):
