@@ -23,7 +23,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .poly import DesignPoly, check_dim, mono_from_vars
+from .poly import DesignPoly, check_dim, check_int, mono_from_vars
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,7 @@ def gen_H(d: int, m: int) -> DesignPoly:
 
 def leaf_counts(m: int) -> LeafDecomposition:
     """How many size-2 and size-3 base blocks the recursion for H (m >= 2) bottoms out in."""
-    if m < 2:
-        raise ValueError(f"leaf decomposition needs m >= 2, got {m}")
+    check_int("m", m, 2)
     kappa = m.bit_length() - 1
     i = m - (1 << kappa) - (1 << (kappa - 1))
     p2 = 2 * i if i >= 0 else -i
@@ -150,8 +149,7 @@ def predicted_size_H(d: int, m: int) -> int:
 
 def q_min(m: int) -> int:
     """Smallest q such that Q_q admits m edges per direction: ceil(log2 m) + 1."""
-    if m < 1:
-        raise ValueError(f"multiplicity must be >= 1, got {m}")
+    check_int("m", m, 1)
     return (m - 1).bit_length() + 1
 
 
@@ -190,6 +188,7 @@ def predicted_size_M(d: int, m: int) -> int:
 
 def economy_limits(m: int):
     """Large-d economy limits: (G limit, (H limit, H bounds), M bounds)."""
+    check_int("m", m, 1)
     limit_g = Fraction(1)
     if m < 2:
         return limit_g, None, None

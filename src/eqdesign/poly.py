@@ -43,10 +43,20 @@ def check_dim(dim: int) -> None:
         raise ValueError(f"ambient dimension must be in [1, {MAX_DIM}], got {dim!r}")
 
 
+def check_int(name: str, value: int, low: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+
+
+def _is_integer_type(kind: type) -> bool:
+    """Whether kind is an integer type: a Python or numpy int, not a bool."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
 def check_monomial(mono: int, dim: int) -> int:
-    """mono as an int, if it is a monomial of Q_dim: an int of any integer
-    type (a Python or numpy int, not a bool) with no bit at or above dim."""
-    if isinstance(mono, bool) or not isinstance(mono, (int, np.integer)):
+    """mono as an int, if it is a monomial of Q_dim: a value of an integer
+    type (_is_integer_type) with no bit at or above dim."""
+    if not _is_integer_type(type(mono)):
         raise ValueError(f"a monomial must be an int, got {mono!r}")
     mono = int(mono)
     if mono < 0 or mono >> dim:
@@ -225,9 +235,8 @@ class DesignPoly:
             hit = values[lower] == partner
             rows.append(position[lower[hit]])
             cols.append(upper[hit])
-        starts = np.zeros(self.dim + 1, dtype=np.int64)
-        np.cumsum([len(run) for run in rows], out=starts[1:])
-        return _frozen(np.concatenate(rows)), _frozen(np.concatenate(cols)), starts.tolist()
+        starts = list(accumulate(map(len, rows), initial=0))
+        return _frozen(np.concatenate(rows)), _frozen(np.concatenate(cols)), starts
 
     # -- algebra ----------------------------------------------------------
 
@@ -263,14 +272,21 @@ class DesignPoly:
         absent[self.sorted_terms] = False
         return DesignPoly(self.dim, np.flatnonzero(absent).astype(np.int64, copy=False))
 
+    def _permutation(self, perm: Sequence[int]) -> np.ndarray:
+        """perm as an int64 array, if it is a permutation of 1..dim whose
+        entries are of integer types (_is_integer_type)."""
+        if (not all(map(_is_integer_type, set(map(type, perm))))
+                or sorted(perm) != list(range(1, self.dim + 1))):
+            raise ValueError(f"not a permutation of 1..{self.dim}: {list(perm)!r}")
+        return np.array(perm, dtype=np.int64)
+
     def _relabel(self, values: np.ndarray, perm: Sequence[int]) -> np.ndarray:
-        """`values` with bit i moved to position perm[i]-1 (perm is 1-based).
+        """`values` with bit i moved to position perm[i]-1, for a checked
+        1-based permutation.
 
         A bit permutation maps each byte of a value on its own, so one table
         per byte holds the images of all 256 bytes, and a value's image is
         the OR of one table entry per byte."""
-        if sorted(perm) != list(range(1, self.dim + 1)):
-            raise ValueError(f"not a permutation of 1..{self.dim}: {list(perm)!r}")
         n_bytes = (self.dim + 7) // 8
         weights = np.zeros(8 * n_bytes, dtype=np.int64)  # the image of each bit
         weights[:self.dim] = np.left_shift(1, np.asarray(perm, dtype=np.int64) - 1)
@@ -283,7 +299,7 @@ class DesignPoly:
 
     def permute(self, perm: Sequence[int]) -> "DesignPoly":
         """Relabel directions: bit i moves to position perm[i]-1 (perm is 1-based)."""
-        values = self._relabel(self.sorted_terms, perm)
+        values = self._relabel(self.sorted_terms, self._permutation(perm))
         return DesignPoly(self.dim, np.sort(values, kind="stable"))
 
     @cached_property
@@ -296,21 +312,21 @@ class DesignPoly:
         both maps are automorphisms of Q_dim, so an edge stays an edge,
         direction i becomes perm[i]-1, and every position follows the image's
         graded-lex order, in which the lower endpoint comes first."""
-        s = check_monomial(s, self.dim)
+        s, perm = check_monomial(s, self.dim), self._permutation(perm)
         values = self._relabel(self.ordered_terms ^ s, perm)
         order = np.argsort(values)  # distinct keys: every sort kind agrees
         image = DesignPoly(self.dim, values[order])
         position = np.empty_like(order)  # of each of our ordered_terms in the image's
         position[order[image.grlex_index]] = np.arange(len(order))
         rows, cols, starts = self.grlex_pairs
-        direction = np.take(perm, self._edge_directions)  # the image's, 1-based
+        direction = perm[self._edge_directions]  # the image's, 1-based
         rows, cols = position[rows], position[cols]
         rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
         # by direction, then row: one sort of a combined key (rows < len(image)),
         # distinct since a vertex has at most one upper neighbour per direction
         by_direction = np.argsort(direction * len(image) + rows)
         counts = [0] * self.dim  # the image's edges per direction
-        for target, lo, hi in zip(perm, starts, starts[1:]):
+        for target, lo, hi in zip(perm.tolist(), starts, starts[1:]):
             counts[target - 1] = hi - lo
         image.__dict__["grlex_pairs"] = (_frozen(rows[by_direction]),
                                          _frozen(cols[by_direction]),
@@ -404,12 +420,11 @@ def to_dot(design: DesignPoly, name: str = "design") -> str:
     words = format_words(design.ordered_terms, design.dim)
     lines = [f"graph {name} {{"]
     lines += [f'  "{w}";' for w in words]
-    rows, cols, starts = design.grlex_pairs
-    direction = np.repeat(np.arange(design.dim), np.diff(starts))
+    rows, cols, _ = design.grlex_pairs
     # by row, then direction: the listing is by direction, then row, already
     order = np.argsort(rows, kind="stable")
     lines += [f'  "{words[lo]}" -- "{words[hi]}" [dir={k}];'
               for lo, hi, k in zip(rows[order].tolist(), cols[order].tolist(),
-                                   (direction[order] + 1).tolist())]
+                                   (design._edge_directions[order] + 1).tolist())]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ from .effects import (EPS, FactorStats, build_incidence, check_delta, check_esti
                       check_levels, elementary_effects, embed, is_real, order_vertices,
                       pooled_stats, randomize, sample_base)
 from .families import check_domain, generate, predicted_size
-from .poly import mono_str
+from .poly import check_int, mono_str
 
 # a screen's memory budget in float64 cells, 256 MB: both one replicate's
 # points, |S| * d coordinates, and the (d, r, m) effects array must fit in
@@ -107,11 +107,6 @@ def build_test_function(seed: int) -> BenchmarkFunction:
     return BenchmarkFunction(beta0=beta0, beta1=beta1, beta2=beta2)
 
 
-def _check_int(name: str, value: int, low: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
-
-
 def _check_real(name: str, value: float, high: float, span: str) -> None:  # NaN fails the range
     if not is_real(value) or not 0 <= value <= high:
         raise ValueError(f"{name} must be {span}, got {value!r}")
@@ -120,12 +115,12 @@ def _check_real(name: str, value: float, high: float, span: str) -> None:  # NaN
 # each ScreenConfig field's one rule, called with the fields it judges, in report order
 _RULES = (
     (("family", "d", "m"), check_domain),
-    (("r",), lambda v: _check_int("r", v, 2)),
+    (("r",), lambda v: check_int("r", v, 2)),
     (("delta",), check_delta),
     (("levels",), check_levels),
     (("sigma_estimator",), check_estimator),
-    (("seed",), lambda v: _check_int("seed", v, 0)),
-    (("function_seed",), lambda v: v is None or _check_int("function_seed", v, 0)),
+    (("seed",), lambda v: check_int("seed", v, 0)),
+    (("function_seed",), lambda v: v is None or check_int("function_seed", v, 0)),
     (("tau0",), lambda v: _check_real("tau0", v, 1, "in [0,1]")),
     (("rho",), lambda v: _check_real("rho", v, sys.float_info.max, "finite and >= 0")),
 )
@@ -193,51 +188,40 @@ class ReplicateMeta:
     delta: float
 
 
-def _json_scalar(value) -> str:
-    """A str, None, bool, int or float as json.dumps writes it.  isinstance,
-    not type, picks the rule, so numpy's float64 writes as a float.  Every
-    float of a report is finite (the config's rules and sample_base's grid),
-    so none needs json's NaN or Infinity."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-# the writer of each type whose lists _json_text writes with one map
-_JSON_WRITERS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
+# json's text for a value of each of these exact types.  Every float of a
+# report is finite (the config's rules and sample_base's grid), so none needs
+# json's NaN or Infinity
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+                 bool: lambda value: "true" if value else "false",
+                 type(None): lambda value: "null"}
 
 
 def _json_text(value, indent: str) -> str:
     """json.dumps(value, indent=2) for a value at nesting `indent` (two spaces
     a level): a dict with str keys, a list or tuple, or a scalar.  json's
-    indented output runs its pure-Python encoder; this one writes a list
-    whose items share one type (a base point, a permutation) with one map."""
-    inner = indent + "  "
+    indented output runs its pure-Python encoder; this one writes an item of
+    a dict or list through _JSON_SCALARS by its exact type, and any other
+    item, a container or a subclass such as numpy's float64, by recursion,
+    where a scalar takes the rule of the first type in its MRO that has one."""
+    inner, writer = indent + "  ", _JSON_SCALARS.get
     if isinstance(value, dict):
         if not value:
             return "{}"
         brackets = "{}"
-        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+        items = [encode_basestring_ascii(key) + ": "
+                 + (write(item) if (write := writer(type(item))) else _json_text(item, inner))
                  for key, item in value.items()]
     elif isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         brackets = "[]"
-        types = set(map(type, value))
-        write = _JSON_WRITERS.get(types.pop()) if len(types) == 1 else None
-        items = map(write, value) if write else [_json_text(item, inner) for item in value]
+        items = [write(item) if (write := writer(type(item))) else _json_text(item, inner)
+                 for item in value]
     else:
-        return _json_scalar(value)
+        for kind in type(value).__mro__:
+            if write := writer(kind):
+                return write(value)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
             + "\n" + indent + brackets[1])
 
@@ -309,7 +293,7 @@ def run_screen(config: ScreenConfig,
     if func is None:
         fseed = config.seed if config.function_seed is None else config.function_seed
         if config.d != 20:
-            raise ValueError("the built-in benchmark needs d=20; pass func explicitly")
+            raise ValueError(f"the built-in benchmark function has 20 factors, got d={config.d}")
         func = build_test_function(fseed)
 
     design = generate(config.family, config.d, config.m)

@@ -192,6 +192,16 @@ def test_screen_command(tmp_path, capsys):
     assert scatter.read_text().startswith("factor,mu_star,sigma")
 
 
+def test_screen_of_another_dimension_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1, "d": 30}))
+    code, _, stderr = run_cli(capsys, "screen", "--config", str(cfg),
+                              "--out", str(tmp_path / "r.csv"))
+    assert code == cli.EXIT_USAGE
+    assert stderr == "error: the built-in benchmark function has 20 factors, got d=30\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_screen_path_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 3, "family": "path", "m": 1, "r": 12}))

@@ -1,4 +1,5 @@
 import functools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +152,13 @@ def test_q_min():
     assert q_min(2) == 2
     with pytest.raises(ValueError):
         q_min(0)
+
+
+@pytest.mark.parametrize("m", [2.5, 4.0, True, "4", None], ids=repr)
+def test_the_m_helpers_refuse_an_m_that_is_not_an_int(m):
+    for helper in (q_min, leaf_counts, alpha_h, economy_limits):
+        with pytest.raises(ValueError, match=f"^m must be an int >= [12], got {re.escape(repr(m))}$"):
+            helper(m)
 
 
 def test_gen_M_examples():

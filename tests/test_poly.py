@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import tracemalloc
@@ -122,6 +123,32 @@ def test_a_monomial_of_any_integer_type_is_an_int(s):
     image = base.image(s, perm)
     assert image == base.image(5, perm)
     assert image.grlex_pairs[2] == base.image(5, perm).grlex_pairs[2]
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint8], ids=lambda kind: kind.__name__)
+def test_a_permutation_entry_of_any_integer_type_is_an_int(kind):
+    # H(12, 37) has 228 vertices, so a uint8 sort key direction * 228 + row would wrap
+    base, perm = generate("H", 12, 37), (12, 1, 11, 2, 10, 3, 9, 4, 8, 5, 7, 6)
+    expected = base.image(5, perm)
+    for other in (tuple(map(kind, perm)), (kind(perm[0]),) + perm[1:]):
+        assert base.permute(other) == base.permute(perm)
+        image = base.image(5, other)
+        assert image == expected
+        assert all(np.array_equal(got, want) for got, want in
+                   zip(image.grlex_pairs[:2], expected.grlex_pairs[:2]))
+        assert image.grlex_pairs[2] == expected.grlex_pairs[2]
+
+
+@pytest.mark.parametrize("perm", [(2.0, 1.0, 3, 4, 5, 6), (np.float64(2.0), 1, 3, 4, 5, 6),
+                                  (2, True, 3, 4, 5, 6), (True, 2, 3, 4, 5, 6),
+                                  ("2", "1", "3", "4", "5", "6"), (2, 2, 3, 4, 5, 6),
+                                  (2, 1, 3, 4, 5)], ids=repr)
+def test_a_permutation_that_is_not_of_ints_is_refused(perm):
+    base = generate("M", 6, 2)
+    message = f"^not a permutation of 1..6: {re.escape(repr(list(perm)))}$"
+    for use in (lambda: base.permute(perm), lambda: base.image(0, perm)):
+        with pytest.raises(ValueError, match=message):
+            use()
 
 
 @pytest.mark.parametrize("s", [5.0, True, False, "5", None, np.float64(5.0), np.bool_(True)],
@@ -261,3 +288,11 @@ def test_edges_listing():
              for lo, up in zip(rows[start:end], cols[start:end])}
     assert edges == {(0b00, 0b01, 1), (0b10, 0b11, 1),
                      (0b00, 0b10, 2), (0b01, 0b11, 2)}
+
+
+def test_edge_offsets_are_python_ints_summing_the_profile():
+    searched = generate("H", 9, 5)
+    for design in (searched, searched.image(0b101, (9, 1, 8, 2, 7, 3, 6, 4, 5))):
+        starts = design.grlex_pairs[2]
+        assert type(starts) is list and all(type(k) is int for k in starts)
+        assert starts == [0, *itertools.accumulate(design.edge_profile())]

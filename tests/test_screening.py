@@ -178,8 +178,9 @@ def test_run_screen_custom_function_other_dim():
     # linear function: every effect is exactly 1 in every direction
     assert all(v == pytest.approx(1.0) for v in rep.stats.mu)
     assert all(v == pytest.approx(0.0, abs=1e-9) for v in rep.stats.sigma)
-    with pytest.raises(ValueError):
-        run_screen(cfg)  # built-in benchmark needs d=20
+    with pytest.raises(ValueError, match="^the built-in benchmark function has 20 factors, "
+                                         "got d=6$"):
+        run_screen(cfg)
 
 
 def _first_replicate_vertex(cfg, k):
@@ -327,6 +328,7 @@ def test_metadata_json_is_what_json_dumps_writes(name, cfg, func):
     {}, [], (), {"a": []}, [{}], "", "é\u2028\"\\\n", None, True, False, 0, -7, 2 ** 70,
     0.0, -0.0, 1e-310, 1e300, np.float64(0.1), [np.float64(2 / 3), 0.5], [1, 2.5, "x"],
     [True, False], [1, True], (3, 4), {"k": {"n": [None, {"m": (1.5,)}]}, "é": "ü"},
+    [1, [2]], [{"a": 1}, 2.5], [[], {}], (np.float64(0.5), None), [None, "x", True],
 ])
 def test_json_text_writes_what_json_dumps_writes(value):
     assert screening._json_text(value, "") == json.dumps(value, indent=2)
