@@ -157,8 +157,8 @@ def cmd_verify(args) -> int:
 def cmd_economy(args) -> int:
     d = args.d
     poly.check_dim(d)
-    if args.m_max is not None and args.m_max < 1:
-        raise ValueError(f"--m-max must be >= 1, got {args.m_max}")
+    if args.m_max is not None:
+        poly.check_int("--m-max", args.m_max, 1)
     m_max = min(args.m_max or 1 << (d - 1), 1 << (d - 1))
     rows, total = [], 0
     for m in range(1, m_max + 1):

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poly import DesignPoly, bit_levels, format_words
+from .poly import DesignPoly, bit_levels, check_dim, check_int, format_words
 
 ESTIMATORS = ("pooled", "between")  # the sigma estimators of pooled_stats
 
@@ -39,8 +39,7 @@ def check_delta(delta: float) -> None:  # a float skips the call; NaN fails the 
 
 
 def check_levels(levels: int) -> None:  # bisect cannot search a longer range
-    if type(levels) is not int or not 2 <= levels <= sys.maxsize:
-        raise ValueError(f"levels must be an int in [2, {sys.maxsize}], got {levels!r}")
+    check_int("levels", levels, 2, sys.maxsize)
 
 
 def check_estimator(estimator: str) -> None:
@@ -83,8 +82,7 @@ class EffectIncidence:
 
 def build_incidence(design: DesignPoly, direction: int) -> EffectIncidence:
     """Direction `direction`'s pairs, sliced from the design's grlex_pairs."""
-    if type(direction) is not int or not 1 <= direction <= design.dim:
-        raise ValueError(f"direction must be an int in 1..{design.dim}, got {direction!r}")
+    check_int("direction", direction, 1, design.dim)
     rows, cols, starts = design.grlex_pairs
     lo, hi = starts[direction - 1], starts[direction]
     return EffectIncidence(rows[lo:hi], cols[lo:hi], len(design))
@@ -144,6 +142,7 @@ def embed(design: DesignPoly, base: Sequence[float], delta: float) -> Replicated
 
 def sample_base(d: int, delta: float, levels: int, rng: np.random.Generator) -> tuple:
     """Draw each coordinate uniformly from the p-level grid values not exceeding 1-delta."""
+    check_dim(d)
     check_delta(delta)
     check_levels(levels)
     # grid value k is k / (levels - 1); the feasible ones are a prefix of the grid

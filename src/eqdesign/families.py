@@ -246,8 +246,7 @@ def check_domain(family: str, d: int, m: int) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     check_dim(d)
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= 1 << (d - 1):
-        raise ValueError(f"m must be in [1, 2^(d-1)] = [1, {1 << (d - 1)}], got {m!r}")
+    check_int("m", m, 1, 1 << (d - 1))
     if family == "H" and m < 2:
         raise ValueError(f"family 'H' starts at m=2, got m={m}")
     if family == "path" and m != 1:

@@ -38,14 +38,16 @@ MAX_DIM = 62
 MAX_ENUM_DIM = 26
 
 
+def check_int(name: str, value: int, low: int, high: Optional[int] = None) -> None:
+    """The one rule for an int parameter: an int, not a bool, in [low, high]."""
+    if (not isinstance(value, int) or isinstance(value, bool) or value < low
+            or high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an int {bound}, got {value!r}")
+
+
 def check_dim(dim: int) -> None:
-    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
-        raise ValueError(f"ambient dimension must be in [1, {MAX_DIM}], got {dim!r}")
-
-
-def check_int(name: str, value: int, low: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+    check_int("ambient dimension", dim, 1, MAX_DIM)
 
 
 def _is_integer_type(kind: type) -> bool:
@@ -68,8 +70,7 @@ def mono_from_vars(*indices: int) -> int:
     """Monomial with the given 1-based variable indices, e.g. mono_from_vars(1, 3) = X1*X3."""
     mono = 0
     for i in indices:
-        if i < 1:
-            raise ValueError(f"variable indices are 1-based, got {i}")
+        check_int("variable index", i, 1)
         mono |= 1 << (i - 1)
     return mono
 
@@ -339,6 +340,8 @@ class DesignPoly:
             m = self.is_equitable()
             if m is None:
                 raise ValueError(f"design is not equitable: profile {self.edge_profile()}")
+        else:
+            check_int("m", m, 1)
         if not len(self):
             raise ValueError("economy is undefined for the empty design")
         return Fraction(m * self.dim, len(self))

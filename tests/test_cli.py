@@ -162,6 +162,7 @@ def test_economy_bad_input(capsys, argv):
     code, stdout, stderr = run_cli(capsys, "economy", *argv)
     assert code == cli.EXIT_USAGE
     assert stderr.startswith("error: ")
+    assert " must be an int " in stderr
     assert stdout == ""
 
 

@@ -46,12 +46,12 @@ def test_gen_G_range_errors():
         gen_G(0, 1)
 
 
-@pytest.mark.parametrize("d", ["3", 3.0, None, True])
+@pytest.mark.parametrize("d", ["3", 3.0, None, True, np.int64(3)])
 @pytest.mark.parametrize("check", [predicted_size, generate, check_domain])
 def test_a_dimension_that_is_not_an_int_is_refused(check, d):
     with pytest.raises(ValueError) as excinfo:
         check("G", d, 1)
-    assert str(excinfo.value) == f"ambient dimension must be in [1, 62], got {d!r}"
+    assert str(excinfo.value) == f"ambient dimension must be an int in [1, 62], got {d!r}"
 
 
 @pytest.mark.parametrize("m", ["2", 2.0, None, True, np.int64(2)],
@@ -61,7 +61,7 @@ def test_a_dimension_that_is_not_an_int_is_refused(check, d):
 def test_a_multiplicity_that_is_not_an_int_is_refused(check, family, m):
     with pytest.raises(ValueError) as excinfo:
         check(family, 5, m)
-    assert str(excinfo.value) == f"m must be in [1, 2^(d-1)] = [1, 16], got {m!r}"
+    assert str(excinfo.value) == f"m must be an int in [1, 16], got {m!r}"
 
 
 def test_predicted_size_G():
@@ -201,6 +201,9 @@ def test_economy():
     assert gen_M(20, 4).economy(4) == Fraction(80, 49)
     with pytest.raises(ValueError):
         DesignPoly.of(3, [0, 0b001, 0b010, 0b101, 0b110]).economy()
+    for m in (0, -3, True, 2.5, np.int64(4)):
+        with pytest.raises(ValueError, match=f"^m must be an int >= 1, got {re.escape(repr(m))}$"):
+            gen_H(8, 4).economy(m)
 
 
 def test_economy_limits():

@@ -24,8 +24,9 @@ def test_mono_words():
     with pytest.raises(ValueError):
         mono_parse("10a")
     assert mono_from_vars(1, 3) == X1 | X3
-    with pytest.raises(ValueError, match="1-based"):
-        mono_from_vars(0)
+    for i in (0, -1, 1.5, True):
+        with pytest.raises(ValueError, match=f"^variable index must be an int >= 1, got {re.escape(repr(i))}$"):
+            mono_from_vars(i)
 
 
 def test_mirror_figure_example():
@@ -56,6 +57,9 @@ def test_designs_differing_in_terms_or_dimension_are_unequal():
     assert DesignPoly.of(3, [0, X1]) != DesignPoly.of(3, [0, X2])
     assert DesignPoly.of(2, [0, X1]) != DesignPoly.of(3, [0, X1])
     assert DesignPoly.of(3, [0, X1]) == DesignPoly.of(3, [X1, 0])
+    # another type is never equal to a design
+    assert not DesignPoly.of(2, [0]) == 0
+    assert DesignPoly.of(2, [0]) != "x"
 
 
 def test_edge_profile_examples():
@@ -210,14 +214,14 @@ def test_design_from_dict_validation():
     ({"d": 3, "terms": ["000", "100", "000"]}, "malformed design object: duplicate terms"),
     ({"d": 62, "terms": ["1" * 62, "0" * 62, "1" * 62]},
      "malformed design object: duplicate terms"),
-    ({"d": True, "terms": ["1"]}, "ambient dimension must be in [1, 62], got True"),
-    ({"d": True, "terms": ["1", "1"]}, "ambient dimension must be in [1, 62], got True"),
-    ({"d": "3", "terms": ["010"]}, "ambient dimension must be in [1, 62], got '3'"),
-    ({"d": "3", "terms": []}, "ambient dimension must be in [1, 62], got '3'"),
-    ({"d": 3.0, "terms": ["010"]}, "ambient dimension must be in [1, 62], got 3.0"),
-    ({"d": None, "terms": ["010"]}, "ambient dimension must be in [1, 62], got None"),
-    ({"d": 63, "terms": ["1" * 63]}, "ambient dimension must be in [1, 62], got 63"),
-    ({"d": 0, "terms": [""]}, "ambient dimension must be in [1, 62], got 0"),
+    ({"d": True, "terms": ["1"]}, "ambient dimension must be an int in [1, 62], got True"),
+    ({"d": True, "terms": ["1", "1"]}, "ambient dimension must be an int in [1, 62], got True"),
+    ({"d": "3", "terms": ["010"]}, "ambient dimension must be an int in [1, 62], got '3'"),
+    ({"d": "3", "terms": []}, "ambient dimension must be an int in [1, 62], got '3'"),
+    ({"d": 3.0, "terms": ["010"]}, "ambient dimension must be an int in [1, 62], got 3.0"),
+    ({"d": None, "terms": ["010"]}, "ambient dimension must be an int in [1, 62], got None"),
+    ({"d": 63, "terms": ["1" * 63]}, "ambient dimension must be an int in [1, 62], got 63"),
+    ({"d": 0, "terms": [""]}, "ambient dimension must be an int in [1, 62], got 0"),
     ({"d": 3, "terms": ["000", 5]},
      "malformed design object: 'terms' must be a list of binary words"),
     ({"d": 3, "terms": "000"},

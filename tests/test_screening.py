@@ -259,15 +259,17 @@ def test_config_validation():
 E42 = poly.DesignPoly.of(4, [0b0000, 0b0001, 0b0010, 0b0011, 0b0111, 0b1011, 0b1111])
 # each step that reads a config field, called with a bad value of that field
 STEPS = {
+    "d": [lambda v: sample_base(v, 0.5, 4, np.random.default_rng(0))],
     "delta": [lambda v: embed(E42, [0.0] * 4, v),
               lambda v: elementary_effects(build_incidence(E42, 2), [0.0] * 7, v),
               lambda v: sample_base(4, v, 4, np.random.default_rng(0))],
     "levels": [lambda v: sample_base(4, 0.5, v, np.random.default_rng(0))],
     "sigma_estimator": [lambda v: pooled_stats(np.zeros((4, 3, 2)), estimator=v)],
 }
-BAD_VALUES = [*(("delta", v) for v in (0, -0.25, 1.5, float("inf"), float("nan"), "x", None,
+BAD_VALUES = [*(("d", v) for v in (0, 63, 2.0, True, "x", np.int64(8))),
+              *(("delta", v) for v in (0, -0.25, 1.5, float("inf"), float("nan"), "x", None,
                                        True, Fraction(1, 2), np.float32(0.5))),
-              *(("levels", v) for v in (1, 2 ** 63, 4.0, True)),
+              *(("levels", v) for v in (1, 2 ** 63, 4.0, True, np.int64(4))),
               ("sigma_estimator", "bogus")]
 
 
@@ -390,7 +392,7 @@ def test_config_names_every_bad_field():
     with pytest.raises(ValueError) as refused:
         ScreenConfig(seed=0, d="x", r=1, levels=4.0, tau0=2)
     assert str(refused.value) == (
-        "invalid screen config: ambient dimension must be in [1, 62], got 'x'; "
+        "invalid screen config: ambient dimension must be an int in [1, 62], got 'x'; "
         "r must be an int >= 2, got 1; "
         f"levels must be an int in [2, {sys.maxsize}], got 4.0; "
         "tau0 must be in [0,1], got 2")
