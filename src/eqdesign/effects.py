@@ -1,14 +1,14 @@
-"""From a design to elementary effects: vertex ordering, per-direction pair
-incidence, randomized replication, geometric embedding, and the mu/mu*/sigma
-statistics pooled over replicates.
+"""From a design to elementary effects: vertex ordering, pair incidence of a
+range of directions, randomized replication, geometric embedding, and the
+mu/mu*/sigma statistics pooled over replicates.
 
 Every step works on arrays.  Ordering and incidence use the design's int64
 vertices, and a randomized replicate reads its incidence off the edges it
 inherits from its base design.  Embedding gathers each point from tables of
 coordinate levels, one table row per byte of its vertex (poly.bit_levels).
-An effect is a gather from the function values; the statistics are passes
-over all directions at once, summed left to right so reports are
-reproducible.
+A replicate's effects are one gather from the function values; the
+statistics are passes over all directions at once, summed left to right so
+reports are reproducible.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import bisect
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,12 +58,13 @@ def order_vertices(design: DesignPoly) -> DesignPoly:
 
 
 class EffectIncidence:
-    """Direction-i vertex pairs: pair k joins rows[k] < cols[k], 0-based
-    positions in graded-lex order of its lower and upper endpoint (read-only
-    int64 views into the design's grlex_pairs) in a design of `size` vertices.
+    """The vertex pairs of a range of directions, by direction, then row:
+    pair k joins rows[k] < cols[k], 0-based positions in graded-lex order of
+    its lower and upper endpoint (read-only int64 views into the design's
+    grlex_pairs) in a design of `size` vertices.
 
-    A plain record with three slots, built once per direction per
-    replicate: no dataclass, whose frozen fields each cost a call to set.
+    A plain record with three slots, built once per replicate for all d
+    directions: no dataclass, whose frozen fields each cost a call to set.
     `pairs` lists the pairs as 1-based (row, col, sign) tuples, built on
     each request.  Sign is always +1: the row is the lower endpoint (see
     grlex_pairs).
@@ -80,11 +81,15 @@ class EffectIncidence:
                          itertools.repeat(1)))
 
 
-def build_incidence(design: DesignPoly, direction: int) -> EffectIncidence:
-    """Direction `direction`'s pairs, sliced from the design's grlex_pairs."""
+def build_incidence(design: DesignPoly, direction: int,
+                    last: Optional[int] = None) -> EffectIncidence:
+    """The pairs of directions `direction`..`last` (only `direction` when last
+    is None), one slice of the design's grlex_pairs: by direction, then row."""
     check_int("direction", direction, 1, design.dim)
+    last = direction if last is None else last
+    check_int("last", last, direction, design.dim)
     rows, cols, starts = design.grlex_pairs
-    lo, hi = starts[direction - 1], starts[direction]
+    lo, hi = starts[direction - 1], starts[last]
     return EffectIncidence(rows[lo:hi], cols[lo:hi], len(design))
 
 

@@ -23,6 +23,7 @@ design's edges to them without a new search.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -418,8 +419,18 @@ def loads_design(text: str) -> DesignPoly:
     return design_from_dict(json.loads(text))
 
 
+# the words DOT reserves, in any letter case: an ID only when quoted
+_DOT_KEYWORDS = frozenset(("node", "edge", "graph", "digraph", "subgraph", "strict"))
+
+
 def to_dot(design: DesignPoly, name: str = "design") -> str:
-    """Graphviz form: nodes labelled by binary word, edges tagged with their direction."""
+    """Graphviz form: nodes labelled by binary word, edges tagged with their
+    direction.  The graph's `name` is written unquoted, so it must be a DOT
+    ID of letters, digits and underscores that is not a keyword."""
+    if (not isinstance(name, str) or not re.fullmatch("[A-Za-z_][A-Za-z_0-9]*", name)
+            or name.lower() in _DOT_KEYWORDS):
+        raise ValueError("graph name must match [A-Za-z_][A-Za-z_0-9]* and not be "
+                         f"a DOT keyword, got {name!r}")
     words = format_words(design.ordered_terms, design.dim)
     lines = [f"graph {name} {{"]
     lines += [f'  "{w}";' for w in words]

@@ -297,9 +297,15 @@ def run_screen(config: ScreenConfig,
         func = build_test_function(fseed)
 
     design = generate(config.family, config.d, config.m)
-    rng = np.random.default_rng(config.seed)
     d = config.d
-    effects = np.empty((d, config.r, config.m))  # every family design is (d, m)-equitable
+    # a replicate's d*m effects, by direction then row, fill its (d, m) block
+    # of effects only if every direction has m pairs
+    profile = design.edge_profile()
+    if profile != (config.m,) * d:
+        raise ValueError(f"{config.family}({d}, {config.m}) has edge profile {profile}, "
+                         f"expected {config.m} in each of its {d} directions")
+    rng = np.random.default_rng(config.seed)
+    effects = np.empty((d, config.r, config.m))
     replicates = []
     n_evals = 0
     for j in range(1, config.r + 1):
@@ -310,11 +316,11 @@ def run_screen(config: ScreenConfig,
         f_values = _check_values(func(rep.points), transformed,
                                  f"replicate {j} of {config.r}")
         n_evals += len(rep.points)
-        # an effect that overflows is refused by pooled_stats
+        # one gather for all d directions; an effect that overflows is
+        # refused by pooled_stats
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(1, d + 1):
-                inc = build_incidence(transformed, i)
-                effects[i - 1, j - 1] = elementary_effects(inc, f_values, config.delta)
+            effects[:, j - 1] = elementary_effects(build_incidence(transformed, 1, d),
+                                                   f_values, config.delta).reshape(d, config.m)
         replicates.append(ReplicateMeta(
             reflection=mono_str(s, d), permutation=perm,
             base_point=base, delta=config.delta,

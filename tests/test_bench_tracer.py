@@ -7,7 +7,7 @@ from eqdesign import cli, families, poly, screening
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from spans import Tracer, summarize  # noqa: E402
+from spans import _PATCHES, Tracer, summarize  # noqa: E402
 
 
 def test_tracer_round_trip_on_paper_scale_screen():
@@ -22,7 +22,8 @@ def test_tracer_round_trip_on_paper_scale_screen():
     summary = summarize(tracer.spans)
     assert summary["families.generate"]["calls"] == 1
     assert summary["screening.evaluate"]["evals"] == 147
-    assert summary["effects.build_incidence"]["calls"] == 3 * 20
+    # one incidence of all 20 directions a replicate
+    assert summary["effects.build_incidence"]["calls"] == 3
     assert poly.DesignPoly.mirror is mirror
     assert screening.generate is generate is families.generate
 
@@ -48,3 +49,10 @@ def test_tracer_records_the_cli_design_path(tmp_path, capsys):
     assert summary["cli.write_atomic"]["calls"] == 2
     for name in ("mirror", "permute", "edge_profile"):
         assert name in poly.DesignPoly.__dict__
+
+
+def test_every_patched_attribute_is_bound_on_its_owner():
+    # Tracer.install reads each one from the owner's own __dict__
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, *_ in _PATCHES if attr not in owner.__dict__]
+    assert missing == []

@@ -56,6 +56,35 @@ def test_incidence_refuses_a_direction_that_is_not_an_int_in_range(direction):
         build_incidence(E42, direction)
 
 
+def test_incidence_of_a_range_is_its_directions_in_turn():
+    # random designs, among them ones with empty directions and unequal ones
+    rng = np.random.default_rng(11)
+    empty = unequal = 0
+    for _ in range(40):
+        d = int(rng.integers(1, 8))
+        n = int(rng.integers(1, min(1 << d, 20) + 1))
+        design = DesignPoly.of(d, (int(t) for t in rng.choice(1 << d, size=n, replace=False)))
+        empty += 0 in design.edge_profile()
+        unequal += design.is_equitable() is None
+        single = [build_incidence(design, i) for i in range(1, d + 1)]
+        for first in range(1, d + 1):
+            for last in range(first, d + 1):
+                inc = build_incidence(design, first, last)
+                parts = single[first - 1:last]
+                assert inc.rows.tolist() == [r for p in parts for r in p.rows.tolist()]
+                assert inc.cols.tolist() == [c for p in parts for c in p.cols.tolist()]
+                assert inc.size == len(design)
+    assert empty and unequal
+
+
+@pytest.mark.parametrize("last", [1, 5, True, 3.0, "3", np.int64(3)])
+def test_incidence_refuses_a_last_direction_outside_its_range(last):
+    # from direction 2 of E42 (d=4), last runs over 2..4
+    message = f"^last must be an int in \\[2, 4\\], got {re.escape(repr(last))}$"
+    with pytest.raises(ValueError, match=message):
+        build_incidence(E42, 2, last)
+
+
 def test_incidence_sign_after_mirror():
     # reflect so that some lower-index vertex has the coordinate set
     design = E42.mirror(X2)

@@ -283,6 +283,19 @@ def test_dot_export():
         '  "00" -- "01" [dir=2];', '  "10" -- "11" [dir=2];'}
 
 
+@pytest.mark.parametrize("name", ['a"b; x', "", "1abc", "a-b", "a b", "H_8_4\n", "é",
+                                  "graph", "Strict", None, 7])
+def test_dot_refuses_a_name_that_is_not_a_dot_id(name):
+    with pytest.raises(ValueError, match=r"^graph name must match \[A-Za-z_\]\[A-Za-z_0-9\]\* "
+                                         r"and not be a DOT keyword, got "):
+        to_dot(DesignPoly.of(2, [0, 1]), name=name)
+
+
+@pytest.mark.parametrize("name", ["H_8_4", "path_20_1", "_", "design", "graph_1"])
+def test_dot_writes_a_dot_id_as_is(name):
+    assert to_dot(DesignPoly.of(2, [0, 1]), name=name).startswith(f"graph {name} {{\n")
+
+
 def test_edges_listing():
     square = DesignPoly.of(2, [0b00, 0b01, 0b10, 0b11])
     rows, cols, starts = square.grlex_pairs

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -230,6 +231,46 @@ def test_run_screen_refuses_complex_values():
         run_screen(cfg, lambda x: x[:, 0] + 1j * x[:, 1])
 
 
+def _per_direction_effects(cfg, func):
+    """run_screen's draws replayed: for each replicate, its (d, m) effects
+    made one direction at a time, as (d, m) float bytes."""
+    rng = np.random.default_rng(cfg.seed)
+    design = generate(cfg.family, cfg.d, cfg.m)
+    for _ in range(cfg.r):
+        transformed = order_vertices(randomize(design, rng)[0])
+        base = sample_base(cfg.d, cfg.delta, cfg.levels, rng)
+        f = np.asarray(func(embed(transformed, base, cfg.delta).points), dtype=float)
+        yield np.array([elementary_effects(build_incidence(transformed, i), f, cfg.delta)
+                        for i in range(1, cfg.d + 1)]).tobytes()
+
+
+def _mid_function(x):
+    w = 2.0 * x - 1.0
+    return w @ np.linspace(-3.0, 5.0, 30) + (w[:, :6] * w[:, 6:12]) @ np.arange(1.0, 7.0)
+
+
+@pytest.mark.parametrize("d", [20, 30])
+@pytest.mark.parametrize("family,m", [(f, m) for f in "MHG" for m in (2, 4, 16)]
+                         + [("path", 1)])
+def test_run_screen_effects_are_the_per_direction_effects_bit_for_bit(d, family, m):
+    for seed, estimator in itertools.product(range(5), ("pooled", "between")):
+        cfg = ScreenConfig(d=d, m=m, family=family, seed=seed, sigma_estimator=estimator)
+        func = build_test_function(seed) if d == 20 else _mid_function
+        report = run_screen(cfg, None if d == 20 else func)
+        replayed = list(_per_direction_effects(cfg, func))
+        assert [report.stats.effects[:, j].tobytes() for j in range(cfg.r)] == replayed
+
+
+def test_run_screen_refuses_a_design_with_unequal_directions(monkeypatch):
+    # (2, 2, 0, 0) adds up to d*m = 4 effects a replicate, which one (d, m)
+    # block of the effects would take in the wrong places
+    square = poly.DesignPoly.of(4, [0, 1, 2, 3])
+    monkeypatch.setattr(screening, "generate", lambda family, d, m: square)
+    with pytest.raises(ValueError, match=r"^path\(4, 1\) has edge profile \(2, 2, 0, 0\), "
+                                         r"expected 1 in each of its 4 directions$"):
+        run_screen(ScreenConfig(d=4, m=1, family="path", seed=0), lambda x: x.sum(axis=1))
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="seed"):
         config_from_dict({})
@@ -410,6 +451,25 @@ def test_screen_experiment_script_runs():
     assert [line.split(":")[0] for line in out] == ["clustered (m=4, r=3)",
                                                     "baseline  (m=1, r=12)"]
     assert all("mean accuracy" in line and "over 2 seeds" in line for line in out)
+
+
+def test_ab_screen_script_compares_two_trees(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    script, src = str(root / "scripts" / "ab_screen.py"), str(root / "src")
+    out = subprocess.run([sys.executable, script, src, src, "--screens", "3"],
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert [line.split(":")[0] for line in out.splitlines()] == ["screen_paper", "screen_mid"]
+    assert all("3 screens, identical outputs; change/parent time ratio: sum " in line
+               for line in out.splitlines())
+    # a tree whose reports differ is refused
+    shutil.copytree(root / "src" / "eqdesign", tmp_path / "eqdesign")
+    with open(tmp_path / "eqdesign" / "screening.py", "a") as f:
+        f.write("\nScreenReport.to_csv = lambda self: 'factor\\n'\n")
+    proc = subprocess.run([sys.executable, script, src, str(tmp_path), "--screens", "1"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: screen_paper screen 0 (M(20, 4), seed 0) writes "
+                           "different outputs in the two trees\n")
 
 
 def test_run_screen_refuses_a_delta_below_float_resolution():
